@@ -335,7 +335,7 @@ type engine_sample = { wall_s : float; steps : int }
    reader knows what the numbers are the best of. *)
 let timing_k = 2
 
-let time_best ?(k = timing_k) f =
+let time_best f =
   let one () =
     (* Start every sample from a compacted heap: earlier legs grow the
        major heap, and the GC pressure they leave behind can swing an
@@ -354,7 +354,7 @@ let time_best ?(k = timing_k) f =
     if s.wall_s > 0.0 then float_of_int s.steps /. s.wall_s else 0.0
   in
   let best = ref (one ()) in
-  for _ = 2 to k do
+  for _ = 2 to timing_k do
     let candidate = one () in
     if rate candidate > rate !best then best := candidate
   done;
@@ -365,11 +365,9 @@ type fastpath_report = {
   fp_m : int;
   fp_alpha : string;
   fp_trials : int;
-  fp_scan_domains : int;
   reference : engine_sample;
   fast : engine_sample;
   fast_sentinel : engine_sample;
-  fast_parallel : engine_sample;
   identical : bool;
 }
 
@@ -385,11 +383,9 @@ let fastpath scale =
   let alpha = Ncg_rational.Q.make n 4 in
   let model = Model.make ~alpha Model.Gbg Model.Sum n in
   let trials = max 1 (min 3 scale.trials) in
-  (* at least 2 so the domain fan-out is really exercised, even on 1 core *)
-  let domains = max 2 (Ncg_parallel.Pool.recommended_domains ()) in
-  let cfg scan_domains =
+  let cfg =
     Engine.config ~policy:Policy.Max_cost ~tie_break:Engine.Prefer_deletion
-      ~scan_domains model
+      model
   in
   let time run =
     time_best (fun () ->
@@ -400,22 +396,19 @@ let fastpath scale =
   in
   let rng seed = Random.State.make [| seed; 0xfa57 |] in
   let reference, ref_runs =
-    time (fun seed g -> Reference.run ~rng:(rng seed) (cfg 1) g)
+    time (fun seed g -> Reference.run ~rng:(rng seed) cfg g)
   in
   let fast, fast_runs =
-    time (fun seed g -> Engine.run ~rng:(rng seed) (cfg 1) g)
+    time (fun seed g -> Engine.run ~rng:(rng seed) cfg g)
   in
   (* the self-healing deployment configuration: 1% of steps shadow-checked
      against the naive machinery.  Must keep the speedup floor. *)
   let sentinel_cfg =
     Engine.config ~policy:Policy.Max_cost ~tie_break:Engine.Prefer_deletion
-      ~sentinel:(Sentinel.Sampled 0.01) ~scan_domains:1 model
+      ~sentinel:(Sentinel.Sampled 0.01) model
   in
   let fast_sentinel, sent_runs =
     time (fun seed g -> Engine.run ~rng:(rng seed) sentinel_cfg g)
-  in
-  let fast_parallel, par_runs =
-    time (fun seed g -> Engine.run ~rng:(rng seed) (cfg domains) g)
   in
   let identical =
     List.for_all2
@@ -424,11 +417,6 @@ let fastpath scale =
         && a.Engine.reason = b.Engine.reason
         && Graph.equal a.Engine.final b.Engine.final)
       ref_runs fast_runs
-    && List.for_all2
-         (fun (a : Engine.result) (b : Engine.result) ->
-           a.Engine.steps = b.Engine.steps
-           && Graph.equal a.Engine.final b.Engine.final)
-         fast_runs par_runs
     && List.for_all2
          (fun (a : Engine.result) (b : Engine.result) ->
            a.Engine.steps = b.Engine.steps
@@ -450,9 +438,8 @@ let fastpath scale =
       s.wall_s (per_s s)
   in
   show "reference (naive)" reference;
-  show "fast (1 domain)" fast;
+  show "fast" fast;
   show "fast + sentinel 1%" fast_sentinel;
-  show (Printf.sprintf "fast (%d domains)" domains) fast_parallel;
   let speedup =
     if fast.wall_s > 0.0 then reference.wall_s /. fast.wall_s else 0.0
   in
@@ -473,248 +460,10 @@ let fastpath scale =
         fp_m = m;
         fp_alpha = Ncg_rational.Q.to_string alpha;
         fp_trials = trials;
-        fp_scan_domains = domains;
         reference;
         fast;
         fast_sentinel;
-        fast_parallel;
         identical;
-      }
-
-(* ------------------------------------------------------------------ *)
-(* Incremental distance cache vs per-step tables                       *)
-(* ------------------------------------------------------------------ *)
-
-type incremental_report = {
-  inc_n : int;
-  inc_m : int;
-  inc_alpha : string;
-  inc_trials : int;
-  inc_plain : engine_sample;
-  inc_cached : engine_sample;
-  inc_stats : Distcache.stats;
-  inc_identical : bool;
-  inc_scaling : (int * float * float) list;  (* n, plain/s, cached/s *)
-}
-
-let incremental_report : incremental_report option ref = ref None
-
-let incremental_leg scale =
-  section
-    "Incremental cache vs per-step tables: SUM-GBG, m=4n, a=n/4, max cost";
-  (* Both sides are the *fast* engine; the only difference is whether the
-     distance tables survive across steps (kept/repaired by the cache) or
-     are recomputed from scratch each step.  Pinned at n=100 like the
-     fastpath leg; an n=300 row shows how the gap scales. *)
-  let bench n trials =
-    let m = 4 * n in
-    let alpha = Ncg_rational.Q.make n 4 in
-    let model = Model.make ~alpha Model.Gbg Model.Sum n in
-    let cfg incremental =
-      Engine.config ~policy:Policy.Max_cost ~tie_break:Engine.Prefer_deletion
-        ~incremental model
-    in
-    let rng seed = Random.State.make [| seed; 0xfa57 |] in
-    let time incremental =
-      time_best (fun () ->
-          List.init trials (fun i ->
-              let seed = scale.seed + i in
-              let g = Gen.random_m_edges (Random.State.make [| seed |]) n m in
-              Engine.run ~rng:(rng seed) (cfg incremental) g))
-    in
-    let plain, plain_runs = time false in
-    let cached, cached_runs = time true in
-    let identical =
-      List.for_all2
-        (fun (a : Engine.result) (b : Engine.result) ->
-          a.Engine.steps = b.Engine.steps
-          && a.Engine.reason = b.Engine.reason
-          && Graph.equal a.Engine.final b.Engine.final)
-        plain_runs cached_runs
-    in
-    let stats =
-      List.fold_left
-        (fun acc (r : Engine.result) ->
-          Distcache.
-            {
-              kept = acc.kept + r.Engine.cache.kept;
-              repaired = acc.repaired + r.Engine.cache.repaired;
-              rebuilt = acc.rebuilt + r.Engine.cache.rebuilt;
-              fills = acc.fills + r.Engine.cache.fills;
-              evicted = acc.evicted + r.Engine.cache.evicted;
-            })
-        Distcache.zero_stats cached_runs
-    in
-    (plain, cached, stats, identical)
-  in
-  let per_s { wall_s; steps } =
-    if wall_s > 0.0 then float_of_int steps /. wall_s else 0.0
-  in
-  let n = 100 in
-  let trials = max 1 (min 3 scale.trials) in
-  let plain, cached, stats, identical = bench n trials in
-  let show label s =
-    Printf.printf "  %-22s %4d steps  %7.3f s  %8.0f steps/s\n" label s.steps
-      s.wall_s (per_s s)
-  in
-  show "per-step tables" plain;
-  show "incremental cache" cached;
-  Printf.printf "  cache: %d kept, %d repaired, %d rebuilt, %d fills\n"
-    stats.Distcache.kept stats.Distcache.repaired stats.Distcache.rebuilt
-    stats.Distcache.fills;
-  let speedup = if cached.wall_s > 0.0 then plain.wall_s /. cached.wall_s
-    else 0.0
-  in
-  Printf.printf "  speedup: %.2fx\n" speedup;
-  (* scaling row: the cache's edge grows with n (each avoided refill is a
-     whole BFS), so one n=300 point anchors the trend *)
-  let scaling =
-    List.map
-      (fun n ->
-        let plain, cached, _, ok = bench n 1 in
-        let row = (n, per_s plain, per_s cached) in
-        Printf.printf "  n=%-4d %8.0f -> %8.0f steps/s (%.2fx)%s\n" n
-          (per_s plain) (per_s cached)
-          (if plain.wall_s > 0.0 && cached.wall_s > 0.0 then
-             plain.wall_s /. cached.wall_s
-           else 0.0)
-          (if ok then "" else "  DIVERGED");
-        row)
-      [ 300 ]
-  in
-  check "identical trajectories with and without the cache" identical;
-  check "cache kept or repaired tables" (stats.Distcache.kept > 0);
-  check "incremental cache at least 1.5x over per-step tables"
-    (speedup >= 1.5);
-  incremental_report :=
-    Some
-      {
-        inc_n = n;
-        inc_m = 4 * n;
-        inc_alpha = Ncg_rational.Q.to_string (Ncg_rational.Q.make n 4);
-        inc_trials = trials;
-        inc_plain = plain;
-        inc_cached = cached;
-        inc_stats = stats;
-        inc_identical = identical;
-        inc_scaling = scaling;
-      }
-
-(* ------------------------------------------------------------------ *)
-(* Batched lockstep engine vs single-trial runs                        *)
-(* ------------------------------------------------------------------ *)
-
-type batch_report = {
-  bt_n : int;
-  bt_m : int;
-  bt_alpha : string;
-  bt_batch : int;
-  bt_ref_trials : int;
-  bt_reference : engine_sample;  (* naive engine, one trial at a time *)
-  bt_fast : engine_sample;  (* fast engine, fresh resources per trial *)
-  bt_batched : engine_sample;  (* resident arena, lockstep batch *)
-  bt_identical : bool;
-}
-
-let batch_report : batch_report option ref = ref None
-
-let batch_leg scale =
-  section "Batched lockstep engine: SUM-GBG sweep, n=100, B=32";
-  (* Pinned at n=100/B=32 like the fastpath leg.  Per-step work dominates
-     a trial at this size, so batching buys setup amortization, not
-     per-step speed; the honest claims are (a) batch throughput vs the
-     naive engine one trial at a time — the same historical anchor the
-     fastpath leg prices — and (b) no regression vs the fast engine run
-     solo: resident-arena streaming must cost neither trajectory
-     identity nor measurable throughput. *)
-  let n = 100 in
-  let m = 4 * n in
-  let alpha = Ncg_rational.Q.make n 4 in
-  let model = Model.make ~alpha Model.Gbg Model.Sum n in
-  let batch = 32 in
-  let spec =
-    Runner.spec ~policy:Policy.Max_cost ~tie_break:Engine.Prefer_deletion model
-      (fun rng -> Gen.random_m_edges rng n m)
-  in
-  let cfg = Runner.engine_config spec ~attempt:0 in
-  let seed = scale.seed in
-  let pair trial =
-    let rng = Runner.trial_rng spec ~seed ~trial ~attempt:0 in
-    (rng, spec.Runner.generate rng)
-  in
-  (* the naive baseline is priced on a small prefix of the same trial
-     stream — rates are steps/s, so the shorter sample stays comparable *)
-  let ref_trials = max 1 (min 3 scale.trials) in
-  let reference, ref_runs =
-    time_best (fun () ->
-        List.init ref_trials (fun i ->
-            let rng, g = pair i in
-            Reference.run ~rng cfg g))
-  in
-  let fast, fast_runs =
-    time_best (fun () ->
-        List.init batch (fun i -> Runner.run_trial spec ~seed ~trial:i))
-  in
-  let stream = Batch.create ~batch cfg in
-  let batched, batch_runs =
-    time_best (fun () ->
-        Batch.run stream (Array.init batch (fun i () -> pair i))
-        |> Array.to_list
-        |> List.map (function
-             | Ok r -> r
-             | Error (exn, bt) -> Printexc.raise_with_backtrace exn bt))
-  in
-  let same (a : Engine.result) (b : Engine.result) =
-    a.Engine.steps = b.Engine.steps
-    && a.Engine.reason = b.Engine.reason
-    && Graph.equal a.Engine.final b.Engine.final
-  in
-  let identical =
-    List.for_all2 same batch_runs fast_runs
-    && List.for_all2 same ref_runs
-         (List.filteri (fun i _ -> i < ref_trials) fast_runs)
-  in
-  let per_s { wall_s; steps } =
-    if wall_s > 0.0 then float_of_int steps /. wall_s else 0.0
-  in
-  let show label trials s =
-    Printf.printf "  %-26s %2d trials  %5d steps  %7.3f s  %8.0f steps/s\n"
-      label trials s.steps s.wall_s (per_s s)
-  in
-  show "reference (single-trial)" ref_trials reference;
-  show "fast (single-trial)" batch fast;
-  show (Printf.sprintf "batched (B=%d)" batch) batch batched;
-  let speedup_ref =
-    if per_s reference > 0.0 then per_s batched /. per_s reference else 0.0
-  in
-  let speedup_fast =
-    if per_s fast > 0.0 then per_s batched /. per_s fast else 0.0
-  in
-  Printf.printf "  speedup: %.2fx vs reference, %.2fx vs solo fast\n"
-    speedup_ref speedup_fast;
-  check "batched trajectories bit-identical to solo" identical;
-  check "batched engine at least 3x the single-trial reference"
-    (speedup_ref >= 3.0);
-  (* Floor 0.6, not 1.0: batching trades a small constant per-sweep
-     mask/retire overhead (and B live arenas' cache footprint) for
-     lockstep throughput.  The output-sensitive step loop (DESIGN.md
-     §17) cut per-step scan work ~4x at this size, so the fixed
-     overhead is now a much larger fraction of a much smaller
-     denominator — the batch leg's load-bearing guarantees are the
-     bit-identical trajectories and the >= 3x over the reference. *)
-  check "no worse than 0.6x the solo fast engine" (speedup_fast >= 0.6);
-  batch_report :=
-    Some
-      {
-        bt_n = n;
-        bt_m = m;
-        bt_alpha = Ncg_rational.Q.to_string alpha;
-        bt_batch = batch;
-        bt_ref_trials = ref_trials;
-        bt_reference = reference;
-        bt_fast = fast;
-        bt_batched = batched;
-        bt_identical = identical;
       }
 
 (* ------------------------------------------------------------------ *)
@@ -722,13 +471,6 @@ let batch_leg scale =
 (* ------------------------------------------------------------------ *)
 
 type scaling_report = {
-  sc_n : int;
-  sc_m : int;
-  sc_alpha : string;
-  sc_max_steps : int;
-  sc_fullscan : engine_sample;
-  sc_sublinear : engine_sample;
-  sc_identical : bool;
   sc_large_n : int;
   sc_large_budget : int;
   sc_large_max_steps : int;
@@ -741,90 +483,29 @@ type scaling_report = {
 let scaling_report : scaling_report option ref = ref None
 
 let scaling_leg scale =
-  section
-    "Output-sensitive selection: SUM-GBG max cost, n=1000 sublinear vs \
-     full-scan; bounded n=10000 under a cache budget";
-  (* Pinned sizes like the other speedup legs.  The n=1000 runs are
-     step-bounded so neither side converges inside the bound and both do
-     the same number of steps — the claim is per-step selection cost, not
-     convergence time.  The n=10000 run demonstrates the memory bound: a
-     64-table budget caps the cache near 5 MiB where an unbounded cache
-     would hold all n tables (~800 MiB of distance rows). *)
-  let run_bounded ~n ~max_steps ~sublinear ~cache_budget () =
-    let m = 4 * n in
-    let alpha = Ncg_rational.Q.make n 4 in
-    let model = Model.make ~alpha Model.Gbg Model.Sum n in
+  section "Bounded n=10000: SUM-GBG max cost under a cache budget";
+  (* The memory bound: a 64-table budget caps the cache near 5 MiB where an
+     unbounded cache would hold all n tables (~800 MiB of distance rows).
+     The point is completing at all within a fixed memory envelope, so a
+     handful of steps suffices, and a single pass: the assertion is not a
+     rate. *)
+  let large_n = 10_000 and large_budget = 64 and large_steps = 10 in
+  let large, residency =
+    let m = 4 * large_n in
+    let alpha = Ncg_rational.Q.make large_n 4 in
+    let model = Model.make ~alpha Model.Gbg Model.Sum large_n in
     let cfg =
       Engine.config ~policy:Policy.Max_cost ~tie_break:Engine.Prefer_deletion
-        ~max_steps ~record_history:false ~sublinear ?cache_budget model
+        ~max_steps:large_steps ~record_history:false
+        ~cache_budget:large_budget model
     in
-    let g = Gen.random_m_edges (Random.State.make [| scale.seed |]) n m in
-    Engine.run ~rng:(Random.State.make [| scale.seed; 0xfa57 |]) cfg g
-  in
-  let n = 1000 and max_steps = 250 in
-  (* This leg asserts a 4x floor on a ~5x measurement (observed 4.2-5.6x
-     across machine states: the full-scan side is BFS/memory-bandwidth
-     bound and anti-correlates with the sublinear side under load), so
-     its timing
-     must be more careful than the other legs': best-of-k alone is not
-     enough, because each variant's k samples run back-to-back, and load
-     on a shared machine drifts on a seconds-to-minutes scale — a slow
-     window can land entirely on one side of the ratio.  Interleave the
-     samples (full, sublinear, full, sublinear, ...) so both variants
-     see the same mixture of conditions, then keep each variant's
-     least-contended pass. *)
-  let scaling_k = 6 in
-  let sample ~sublinear () =
-    Gc.compact ();
-    let t0 = Unix.gettimeofday () in
-    let r = run_bounded ~n ~max_steps ~sublinear ~cache_budget:None () in
-    let wall = Unix.gettimeofday () -. t0 in
-    ({ wall_s = wall; steps = r.Engine.steps }, [ r ])
-  in
-  let keep_best best candidate =
-    let rate ({ wall_s; steps }, _) =
-      if wall_s > 0.0 then float_of_int steps /. wall_s else 0.0
+    let g =
+      Gen.random_m_edges (Random.State.make [| scale.seed |]) large_n m
     in
-    if rate candidate > rate best then candidate else best
-  in
-  let full_best = ref (sample ~sublinear:false ()) in
-  let sub_best = ref (sample ~sublinear:true ()) in
-  for _ = 2 to scaling_k do
-    full_best := keep_best !full_best (sample ~sublinear:false ());
-    sub_best := keep_best !sub_best (sample ~sublinear:true ())
-  done;
-  let full, full_runs = !full_best and sub, sub_runs = !sub_best in
-  let identical =
-    List.for_all2
-      (fun (a : Engine.result) (b : Engine.result) ->
-        a.Engine.steps = b.Engine.steps
-        && a.Engine.reason = b.Engine.reason
-        && Graph.equal a.Engine.final b.Engine.final)
-      full_runs sub_runs
-  in
-  let per_s { wall_s; steps } =
-    if wall_s > 0.0 then float_of_int steps /. wall_s else 0.0
-  in
-  let show label s =
-    Printf.printf "  %-22s %4d steps  %7.3f s  %8.0f steps/s\n" label s.steps
-      s.wall_s (per_s s)
-  in
-  show "full-scan select" full;
-  show "sublinear select" sub;
-  let speedup = if sub.wall_s > 0.0 then full.wall_s /. sub.wall_s else 0.0 in
-  Printf.printf "  speedup: %.2fx\n" speedup;
-  (* n=10000 under a hard residency cap: the point is completing at all
-     within a fixed memory envelope, so a handful of steps suffices. *)
-  let large_n = 10_000 and large_budget = 64 and large_steps = 10 in
-  (* Single pass: the assertion is completion within the memory envelope,
-     not a rate, and an n=10000 pass is the most expensive part of this
-     leg — best-of-k would double it for nothing. *)
-  let large, residency =
     Gc.compact ();
     let t0 = Unix.gettimeofday () in
     let r =
-      run_bounded ~n:large_n ~max_steps:large_steps ~sublinear:true
-        ~cache_budget:(Some large_budget) ()
+      Engine.run ~rng:(Random.State.make [| scale.seed; 0xfa57 |]) cfg g
     in
     let wall = Unix.gettimeofday () -. t0 in
     ({ wall_s = wall; steps = r.Engine.steps }, r.Engine.residency)
@@ -840,20 +521,11 @@ let scaling_leg scale =
      MiB)\n"
     large_n large_budget large.steps large.wall_s residency.Distcache.peak
     (float_of_int residency.Distcache.peak_bytes /. (1024.0 *. 1024.0));
-  check "identical trajectories with and without the cost board" identical;
-  check "sublinear selection at least 4x over the full scan" (speedup >= 4.0);
   check "n=10000 run stays within the cache budget (+pin slack)"
     within_budget;
   scaling_report :=
     Some
       {
-        sc_n = n;
-        sc_m = 4 * n;
-        sc_alpha = Ncg_rational.Q.to_string (Ncg_rational.Q.make n 4);
-        sc_max_steps = max_steps;
-        sc_fullscan = full;
-        sc_sublinear = sub;
-        sc_identical = identical;
         sc_large_n = large_n;
         sc_large_budget = large_budget;
         sc_large_max_steps = large_steps;
@@ -1048,8 +720,6 @@ let write_json path ~scale ~timings =
             ("fast", sample_json r.fast);
             ("fast_sentinel", sample_json r.fast_sentinel);
             ("sentinel_rate", Json.num 0.01);
-            ("fast_parallel", sample_json r.fast_parallel);
-            ("scan_domains", string_of_int r.fp_scan_domains);
             ( "speedup",
               Json.num
                 (if r.fast.wall_s > 0.0 then
@@ -1063,82 +733,6 @@ let write_json path ~scale ~timings =
             ("identical_trajectories", string_of_bool r.identical);
           ]
   in
-  let incremental_json =
-    match !incremental_report with
-    | None -> "null"
-    | Some r ->
-        Json.obj
-          [
-            ("game", Json.str "SUM-GBG");
-            ("policy", Json.str "max-cost");
-            ("tie_break", Json.str "prefer-deletion");
-            ("n", string_of_int r.inc_n);
-            ("m", string_of_int r.inc_m);
-            ("alpha", Json.str r.inc_alpha);
-            ("trials", string_of_int r.inc_trials);
-            ("per_step_tables", sample_json r.inc_plain);
-            ("incremental", sample_json r.inc_cached);
-            ( "speedup",
-              Json.num
-                (if r.inc_cached.wall_s > 0.0 then
-                   r.inc_plain.wall_s /. r.inc_cached.wall_s
-                 else 0.0) );
-            ( "cache",
-              Json.obj
-                [
-                  ("kept", string_of_int r.inc_stats.Distcache.kept);
-                  ("repaired", string_of_int r.inc_stats.Distcache.repaired);
-                  ("rebuilt", string_of_int r.inc_stats.Distcache.rebuilt);
-                  ("fills", string_of_int r.inc_stats.Distcache.fills);
-                  ("evicted", string_of_int r.inc_stats.Distcache.evicted);
-                ] );
-            ( "scaling",
-              Json.arr
-                (List.map
-                   (fun (n, plain_s, cached_s) ->
-                     Json.obj
-                       [
-                         ("n", string_of_int n);
-                         ("per_step_steps_per_s", Json.num plain_s);
-                         ("incremental_steps_per_s", Json.num cached_s);
-                       ])
-                   r.inc_scaling) );
-            ("identical_trajectories", string_of_bool r.inc_identical);
-          ]
-  in
-  let batch_json =
-    match !batch_report with
-    | None -> "null"
-    | Some r ->
-        let rate s =
-          if s.wall_s > 0.0 then float_of_int s.steps /. s.wall_s else 0.0
-        in
-        Json.obj
-          [
-            ("game", Json.str "SUM-GBG");
-            ("policy", Json.str "max-cost");
-            ("tie_break", Json.str "prefer-deletion");
-            ("n", string_of_int r.bt_n);
-            ("m", string_of_int r.bt_m);
-            ("alpha", Json.str r.bt_alpha);
-            ("batch", string_of_int r.bt_batch);
-            ("reference_trials", string_of_int r.bt_ref_trials);
-            ("single_trial_reference", sample_json r.bt_reference);
-            ("single_trial_fast", sample_json r.bt_fast);
-            ("batched", sample_json r.bt_batched);
-            ( "speedup_vs_reference",
-              Json.num
-                (if rate r.bt_reference > 0.0 then
-                   rate r.bt_batched /. rate r.bt_reference
-                 else 0.0) );
-            ( "speedup_vs_fast",
-              Json.num
-                (if rate r.bt_fast > 0.0 then
-                   rate r.bt_batched /. rate r.bt_fast
-                 else 0.0) );
-            ("identical_trajectories", string_of_bool r.bt_identical);
-          ]
-  in
   let scaling_json =
     match !scaling_report with
     | None -> "null"
@@ -1148,18 +742,6 @@ let write_json path ~scale ~timings =
             ("game", Json.str "SUM-GBG");
             ("policy", Json.str "max-cost");
             ("tie_break", Json.str "prefer-deletion");
-            ("n", string_of_int r.sc_n);
-            ("m", string_of_int r.sc_m);
-            ("alpha", Json.str r.sc_alpha);
-            ("max_steps", string_of_int r.sc_max_steps);
-            ("full_scan", sample_json r.sc_fullscan);
-            ("sublinear", sample_json r.sc_sublinear);
-            ( "speedup",
-              Json.num
-                (if r.sc_sublinear.wall_s > 0.0 then
-                   r.sc_fullscan.wall_s /. r.sc_sublinear.wall_s
-                 else 0.0) );
-            ("identical_trajectories", string_of_bool r.sc_identical);
             ( "large",
               Json.obj
                 [
@@ -1222,8 +804,6 @@ let write_json path ~scale ~timings =
             ] );
         ("experiments", experiments);
         ("fastpath", fastpath_json);
-        ("incremental", incremental_json);
-        ("batch", batch_json);
         ("scaling", scaling_json);
         ("fleet", fleet_json);
       ]
@@ -1247,15 +827,8 @@ let write_json path ~scale ~timings =
 
 let experiments : (string * string * (scale -> unit)) list =
   [
-    (* The scaling leg runs first on purpose: it asserts a 4x floor on a
-       ~5x ratio, and running it after the other legs systematically
-       costs the sublinear side ~10-15% (process-state contamination the
-       per-sample Gc.compact does not undo — most likely allocator/page
-       layout after the earlier legs' churn), which no amount of
-       best-of-k sampling recovers.  First in a fresh process it
-       measures the same ratio as a standalone `--only scaling` run. *)
     ( "scaling",
-      "sublinear vs full-scan selection (SUM-GBG n=1000, bounded n=10000)",
+      "SUM-GBG n=10000 under a 64-table cache budget",
       scaling_leg );
     ("fig1", "MAX-SG path convergence (Fig. 1)", fig1);
     gadget "fig2" "fig2-max-sg";
@@ -1282,12 +855,6 @@ let experiments : (string * string * (scale -> unit)) list =
     ("nocycle", "random-instance cycle hunt (Secs. 3.4/4.2)", nocycle);
     ("micro", "Bechamel micro-benchmarks", micro);
     ("fastpath", "fast engine vs reference oracle (SUM-GBG n=100)", fastpath);
-    ( "incremental",
-      "incremental cache vs per-step tables (SUM-GBG n=100/300)",
-      incremental_leg );
-    ( "batch",
-      "batched lockstep engine vs single-trial (SUM-GBG n=100, B=32)",
-      batch_leg );
     ("fleet", "fleet vs single process (supervision overhead)", fleet_leg);
   ]
 

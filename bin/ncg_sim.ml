@@ -204,8 +204,7 @@ let verbose_term =
     "Also report engine internals after the sweep: the cross-step distance \
      cache's kept/repaired/rebuilt/filled/evicted table counters and peak \
      residency (tables and bytes), aggregated over every run (and worker \
-     domain) of this process, and the batch-arena totals (arenas created, \
-     trials batched, their cache decisions)."
+     domain) of this process."
   in
   Arg.(value & flag & info [ "verbose" ] ~doc)
 
@@ -231,19 +230,7 @@ let emit ?(verbose = false) out value curves =
     if touched > 0 then
       Printf.printf
         "  %.1f%% of patched tables kept without recomputation\n"
-        (100.0 *. float_of_int s.Distcache.kept /. float_of_int touched);
-    (* Batched-trial share of the same work: arena totals count only
-       trials retired through a shared arena, so they are a subset of the
-       per-trial totals above — reported separately, never re-added. *)
-    let b = Ncg_core.Engine.Arena.totals () in
-    Printf.printf
-      "batch arenas: %d arena(s), %d batched trial(s); cache over batched \
-       trials: %d kept, %d repaired, %d rebuilt, %d filled\n"
-      b.Ncg_core.Engine.Arena.arenas b.Ncg_core.Engine.Arena.batched_trials
-      b.Ncg_core.Engine.Arena.cache.Distcache.kept
-      b.Ncg_core.Engine.Arena.cache.Distcache.repaired
-      b.Ncg_core.Engine.Arena.cache.Distcache.rebuilt
-      b.Ncg_core.Engine.Arena.cache.Distcache.fills
+        (100.0 *. float_of_int s.Distcache.kept /. float_of_int touched)
   end;
   match out with
   | None -> ()

@@ -30,7 +30,8 @@ val update : t -> int -> int -> unit
     bucket move.  No-op when the key is unchanged. *)
 
 val reset : t -> unit
-(** Drop every installed key (arena reuse between trials). *)
+(** Drop every installed key; the board is incomplete until every agent
+    is keyed again. *)
 
 val select_desc : t -> rank:int array -> probe:(int -> bool) -> int option
 (** First agent in (key descending, [rank.(v)] ascending) order whose

@@ -13,25 +13,20 @@ type config = {
   audit : Audit.level;
   sentinel : Sentinel.level;
   time_budget : float option;
-  scan_domains : int;
-  incremental : bool;
-  sublinear : bool;
   cache_budget : int option;
 }
 
 let config ?(policy = Policy.Max_cost) ?(move_rule = Best_response)
     ?(tie_break = Uniform) ?max_steps ?(detect_cycles = false)
     ?(record_history = true) ?(audit = Audit.Off)
-    ?(sentinel = Sentinel.Off) ?time_budget ?(scan_domains = 1)
-    ?(incremental = true) ?(sublinear = true) ?cache_budget model =
+    ?(sentinel = Sentinel.Off) ?time_budget ?cache_budget model =
   let max_steps =
     match max_steps with
     | Some s -> s
     | None -> (100 * Model.n model) + 1000
   in
   { model; policy; move_rule; tie_break; max_steps; detect_cycles;
-    record_history; audit; sentinel; time_budget; scan_domains; incremental;
-    sublinear; cache_budget }
+    record_history; audit; sentinel; time_budget; cache_budget }
 
 type step = {
   index : int;
@@ -110,160 +105,10 @@ let choose_move cfg rng ctx witness g u =
 let state_key model g =
   if Model.uses_ownership model then Canonical.key g else Canonical.unowned_key g
 
-(* A shared arena of trial-scoped resources.  One arena serves any number
-   of trials of the same size, one at a time or lockstep-interleaved by
-   [run_batch]: the BFS workspaces are stamped scratch that every live
-   trial's steps share (steps are strictly sequential within a domain),
-   while Distcache/Witness/seen tables carry genuine per-trial state and so
-   are pooled — a retiring trial returns them, the next trial takes them
-   back reset.  Arenas are single-domain objects: give each domain its
-   own. *)
-module Arena = struct
-  type t = {
-    capacity : int;
-    ws : Paths.Workspace.t;
-    shadow_ws : Paths.Workspace.t Lazy.t;
-    mutable free_caches : Distcache.t list;
-    mutable free_witnesses : Witness.t list;
-    mutable free_seen : (string, int) Hashtbl.t list;
-    mutable free_boards : Costboard.t list;
-    mutable trials : int;
-    mutable cache_stats : Distcache.stats;
-  }
-
-  (* Process-wide batching totals, kept apart from [Distcache.totals] —
-     the engine still calls [Distcache.add_to_totals] exactly once per
-     trial whether or not the trial ran under an arena, so those totals
-     stay per-trial-accurate and these never double-count them. *)
-  let g_arenas = Atomic.make 0
-  let g_trials = Atomic.make 0
-  let g_kept = Atomic.make 0
-  let g_repaired = Atomic.make 0
-  let g_rebuilt = Atomic.make 0
-  let g_fills = Atomic.make 0
-  let g_evicted = Atomic.make 0
-
-  let create n =
-    if n < 0 then invalid_arg "Engine.Arena.create: negative size";
-    Atomic.incr g_arenas;
-    {
-      capacity = n;
-      ws = Paths.Workspace.create n;
-      shadow_ws = lazy (Paths.Workspace.create n);
-      free_caches = [];
-      free_witnesses = [];
-      free_seen = [];
-      free_boards = [];
-      trials = 0;
-      cache_stats = Distcache.zero_stats;
-    }
-
-  let capacity t = t.capacity
-  let trials t = t.trials
-  let cache_stats t = t.cache_stats
-
-  type totals = {
-    arenas : int;
-    batched_trials : int;
-    cache : Distcache.stats;
-  }
-
-  let totals () =
-    {
-      arenas = Atomic.get g_arenas;
-      batched_trials = Atomic.get g_trials;
-      cache =
-        {
-          Distcache.kept = Atomic.get g_kept;
-          repaired = Atomic.get g_repaired;
-          rebuilt = Atomic.get g_rebuilt;
-          fills = Atomic.get g_fills;
-          evicted = Atomic.get g_evicted;
-        };
-    }
-
-  let reset_totals () =
-    Atomic.set g_arenas 0;
-    Atomic.set g_trials 0;
-    Atomic.set g_kept 0;
-    Atomic.set g_repaired 0;
-    Atomic.set g_rebuilt 0;
-    Atomic.set g_fills 0;
-    Atomic.set g_evicted 0
-
-  (* Pooled caches are reused only across trials with the same memory
-     budget — a budget mismatch would silently change the eviction
-     sequence a trial observes versus its solo run. *)
-  let alloc_cache ?budget t =
-    let rec take acc = function
-      | [] ->
-          t.free_caches <- List.rev acc;
-          Distcache.create ?budget t.capacity
-      | c :: rest when Distcache.budget c = budget ->
-          t.free_caches <- List.rev_append acc rest;
-          Distcache.reset c;
-          c
-      | c :: rest -> take (c :: acc) rest
-    in
-    take [] t.free_caches
-
-  let alloc_board t =
-    match t.free_boards with
-    | b :: rest ->
-        t.free_boards <- rest;
-        Costboard.reset b;
-        b
-    | [] -> Costboard.create t.capacity
-
-  let alloc_witness t =
-    match t.free_witnesses with
-    | w :: rest ->
-        t.free_witnesses <- rest;
-        Witness.reset w;
-        w
-    | [] -> Witness.create t.capacity
-
-  let alloc_seen t =
-    match t.free_seen with
-    | h :: rest ->
-        t.free_seen <- rest;
-        Hashtbl.reset h;
-        h
-    | [] -> Hashtbl.create 64
-
-  let retire t ~cache_stats:(s : Distcache.stats) ?board witness cache seen =
-    t.trials <- t.trials + 1;
-    t.cache_stats <-
-      {
-        Distcache.kept = t.cache_stats.Distcache.kept + s.Distcache.kept;
-        repaired = t.cache_stats.Distcache.repaired + s.Distcache.repaired;
-        rebuilt = t.cache_stats.Distcache.rebuilt + s.Distcache.rebuilt;
-        fills = t.cache_stats.Distcache.fills + s.Distcache.fills;
-        evicted = t.cache_stats.Distcache.evicted + s.Distcache.evicted;
-      };
-    Atomic.incr g_trials;
-    ignore (Atomic.fetch_and_add g_kept s.Distcache.kept);
-    ignore (Atomic.fetch_and_add g_repaired s.Distcache.repaired);
-    ignore (Atomic.fetch_and_add g_rebuilt s.Distcache.rebuilt);
-    ignore (Atomic.fetch_and_add g_fills s.Distcache.fills);
-    ignore (Atomic.fetch_and_add g_evicted s.Distcache.evicted);
-    t.free_witnesses <- witness :: t.free_witnesses;
-    (match cache with
-    | Some c -> t.free_caches <- c :: t.free_caches
-    | None -> ());
-    (match board with
-    | Some b -> t.free_boards <- b :: t.free_boards
-    | None -> ());
-    t.free_seen <- seen :: t.free_seen
-end
-
-(* One trial as an explicit state machine.  [stepper_start] captures
-   everything the old recursive loop closed over; [stepper_advance] runs
-   exactly one step (or records the stop reason); [stepper_finish]
-   assembles the result and returns pooled resources to the arena.  The
-   step-by-step decomposition is what lets [run_batch] interleave B trials
-   in lockstep — and [run] is now just start/advance*/finish, so the solo
-   and batched paths share every line of step logic. *)
+(* One trial as an explicit state machine: [stepper_start] captures
+   everything the step loop closes over, [stepper_advance] runs exactly one
+   step (or records the stop reason), [stepper_finish] assembles the
+   result. *)
 
 type stepper_mode = Mode_fast | Mode_degraded
 
@@ -271,11 +116,10 @@ type stepper = {
   cfg : config;
   rng : Random.State.t;
   g : Graph.t;
-  arena : Arena.t option;
   ws : Paths.Workspace.t;
   shadow_ws : Paths.Workspace.t Lazy.t;
   witness : Witness.t;
-  cache : Distcache.t option;
+  cache : Distcache.t;
   board : Costboard.t option;
   mutable board_ready : bool;
   seen : (string, int) Hashtbl.t;
@@ -292,53 +136,25 @@ type stepper = {
   mutable stopped : stop_reason option;
 }
 
-let stepper_start ?arena ?rng cfg initial =
+let stepper_start ?rng cfg initial =
   let rng =
     match rng with
     | Some r -> r
     | None -> Random.State.make [| 0x5eed; Graph.n initial |]
   in
   let n = Graph.n initial in
-  (match arena with
-  | Some a when Arena.capacity a <> n ->
-      invalid_arg "Engine: arena capacity does not match the network size"
-  | _ -> ());
   let g = Graph.copy initial in
-  let ws, shadow_ws =
-    match arena with
-    | Some a -> (a.Arena.ws, a.Arena.shadow_ws)
-    | None -> (Paths.Workspace.create n, lazy (Paths.Workspace.create n))
-  in
-  let witness =
-    match arena with Some a -> Arena.alloc_witness a | None -> Witness.create n
-  in
   (* The cross-step distance cache: owned here, patched after every
-     committed move, handed to each step's context.  [None] reverts to the
-     step-scoped tables of the pre-incremental fast path. *)
-  let cache =
-    if cfg.incremental then
-      Some
-        (match arena with
-        | Some a -> Arena.alloc_cache ?budget:cfg.cache_budget a
-        | None -> Distcache.create ?budget:cfg.cache_budget n)
-    else None
-  in
-  (* The bucketed cost board exists exactly when the sublinear max-cost
-     selection can use it: it needs the cross-step cache (the dirty sets
-     come from its patch classification) and only Max_cost sorts by
-     cost. *)
+     committed move, handed to each step's context. *)
+  let cache = Distcache.create ?budget:cfg.cache_budget n in
+  (* The bucketed cost board exists exactly when the policy sorts by
+     cost; it is refreshed from the cache's dirty sets. *)
   let board =
-    match (cfg.sublinear, cache, cfg.policy) with
-    | true, Some _, Policy.Max_cost ->
-        Some
-          (match arena with
-          | Some a -> Arena.alloc_board a
-          | None -> Costboard.create n)
-    | _ -> None
+    match cfg.policy with
+    | Policy.Max_cost -> Some (Costboard.create n)
+    | Policy.Random_unhappy | Policy.Round_robin | Policy.Adversarial _ -> None
   in
-  let seen =
-    match arena with Some a -> Arena.alloc_seen a | None -> Hashtbl.create 64
-  in
+  let seen = Hashtbl.create 64 in
   if cfg.detect_cycles then Hashtbl.replace seen (state_key cfg.model g) 0;
   (* A connected network can never disconnect under improving moves (the
      mover's own cost would become infinite), so connectivity is part of
@@ -348,10 +164,9 @@ let stepper_start ?arena ?rng cfg initial =
     cfg;
     rng;
     g;
-    arena;
-    ws;
-    shadow_ws;
-    witness;
+    ws = Paths.Workspace.create n;
+    shadow_ws = lazy (Paths.Workspace.create n);
+    witness = Witness.create n;
     cache;
     board;
     board_ready = false;
@@ -416,38 +231,36 @@ let finish_step s u (e : Response.evaluated) ~next_mode =
   match contract with
   | Some v -> s.stopped <- Some (Invariant_violation v)
   | None -> (
-      (match s.cache with
-      | Some c ->
-          (* When a cost board is consuming dirty sets, pin the move's
-             primitive endpoints resident before the first primitive: the
-             cache's per-source dirty classifier needs their pre-primitive
-             rows, and the pins keep a memory-bounded cache from evicting
-             them mid-move (a multi-primitive move reuses them, repaired,
-             for its later primitives). *)
-          let pinned =
-            match s.board with
-            | None -> []
-            | Some _ ->
-                let touched = Move.touched s.g e.Response.move in
-                List.iter
-                  (fun v ->
-                    ignore (Distcache.ensure c ~ws:s.ws s.g v);
-                    Distcache.pin c v)
-                  touched;
-                touched
-          in
-          (* Patch the cache primitive by primitive: each note_* sees the
-             graph exactly after its primitive, against the tables from
-             before it — the state the keep/repair rules assume.  The
-             patch also bumps the version counters that expire witness
-             skip certificates depending on what changed. *)
-          ignore
-            (Move.apply_observed s.g e.Response.move ~on_prim:(fun p ->
-                 match p with
-                 | Move.Added (a, b) -> Distcache.note_added c s.g a b
-                 | Move.Removed (a, b, _) -> Distcache.note_removed c s.g a b));
-          List.iter (fun v -> Distcache.unpin c v) pinned
-      | None -> ignore (Move.apply s.g e.Response.move));
+      let c = s.cache in
+      (* When a cost board is consuming dirty sets, pin the move's
+         primitive endpoints resident before the first primitive: the
+         cache's per-source dirty classifier needs their pre-primitive
+         rows, and the pins keep a memory-bounded cache from evicting them
+         mid-move (a multi-primitive move reuses them, repaired, for its
+         later primitives). *)
+      let pinned =
+        match s.board with
+        | None -> []
+        | Some _ ->
+            let touched = Move.touched s.g e.Response.move in
+            List.iter
+              (fun v ->
+                ignore (Distcache.ensure c ~ws:s.ws s.g v);
+                Distcache.pin c v)
+              touched;
+            touched
+      in
+      (* Patch the cache primitive by primitive: each note_* sees the graph
+         exactly after its primitive, against the tables from before it —
+         the state the keep/repair rules assume.  The patch also bumps the
+         version counters that expire witness skip certificates depending
+         on what changed. *)
+      ignore
+        (Move.apply_observed s.g e.Response.move ~on_prim:(fun p ->
+             match p with
+             | Move.Added (a, b) -> Distcache.note_added c s.g a b
+             | Move.Removed (a, b, _) -> Distcache.note_removed c s.g a b));
+      List.iter (fun v -> Distcache.unpin c v) pinned;
       Witness.clear s.witness u;
       if cfg.record_history then
         s.history <-
@@ -493,21 +306,10 @@ let ref_move s u =
 
 let fast_step s =
   let cfg = s.cfg in
-  (* One context per step.  With the incremental cache it inherits all
-     tables that survived (were kept or repaired by) the previous step's
-     patch; without, tables describe the current network only for this
-     step and are discarded wholesale.  The witness cache survives across
-     steps either way — probes revalidate. *)
-  let ctx =
-    match s.cache with
-    | Some c -> Response.Fast.of_cache s.ws cfg.model s.g c
-    | None -> Response.Fast.create s.ws cfg.model s.g
-  in
-  (* The admission caps ride with the output-sensitive step loop: the
-     [sublinear:false] baseline keeps the historical uncapped enumeration
-     (identical moves either way — the caps only skip provably
-     over-budget candidate scans). *)
-  Response.Fast.set_prefilter ctx cfg.sublinear;
+  (* One context per step, inheriting every table that survived (was kept
+     or repaired by) the previous step's patch.  The witness cache survives
+     across steps too — probes revalidate. *)
+  let ctx = Response.Fast.of_cache s.ws cfg.model s.g s.cache in
   let checking = Sentinel.due cfg.sentinel s.srng in
   let snap =
     if checking && Sentinel.shadows_selection cfg.policy then
@@ -515,8 +317,8 @@ let fast_step s =
     else None
   in
   let picked =
-    match (s.board, s.cache) with
-    | Some board, Some c ->
+    match s.board with
+    | Some board ->
         (* Output-sensitive selection.  Bring the board up to date first:
            a full refresh on the first step (every agent's key), then only
            the agents the cache's last patch marked dirty.  Probes and key
@@ -531,13 +333,13 @@ let fast_step s =
         else
           Distcache.iter_dirty
             (fun v -> Costboard.update board v (Response.Fast.cost_key ctx v))
-            c;
-        Distcache.clear_dirty c;
+            s.cache;
+        Distcache.clear_dirty s.cache;
         Policy.select_sublinear cfg.policy ~rng:s.rng ~ctx ~witness:s.witness
           ~board cfg.model s.g ~last:s.last
-    | _ ->
+    | None ->
         Policy.select_fast cfg.policy ~rng:s.rng ~ctx ~witness:s.witness
-          ~domains:cfg.scan_domains cfg.model s.g ~last:s.last
+          cfg.model s.g ~last:s.last
   in
   let shadow_sel =
     match snap with
@@ -639,23 +441,10 @@ let stepper_finish s =
       degraded_at = s.degraded_at;
     }
   in
-  let cache_stats =
-    match s.cache with
-    | Some c ->
-        let st = Distcache.stats c in
-        Distcache.add_to_totals st;
-        st
-    | None -> Distcache.zero_stats
-  in
-  let residency =
-    match s.cache with
-    | Some c -> Distcache.residency c
-    | None -> Distcache.zero_residency
-  in
+  let cache_stats = Distcache.stats s.cache in
+  Distcache.add_to_totals cache_stats;
+  let residency = Distcache.residency s.cache in
   Distcache.add_residency_to_totals residency;
-  (match s.arena with
-  | Some a -> Arena.retire a ~cache_stats ?board:s.board s.witness s.cache s.seen
-  | None -> ());
   {
     reason;
     steps = s.steps;
@@ -666,69 +455,12 @@ let stepper_finish s =
     residency;
   }
 
-let run ?arena ?rng cfg initial =
-  let s = stepper_start ?arena ?rng cfg initial in
+let run ?rng cfg initial =
+  let s = stepper_start ?rng cfg initial in
   while s.stopped = None do
     stepper_advance s
   done;
   stepper_finish s
-
-type batch_outcome = (result, exn * Printexc.raw_backtrace) Stdlib.result
-
-let run_batch ?arena cfg thunks =
-  let arena =
-    match arena with Some a -> a | None -> Arena.create (Model.n cfg.model)
-  in
-  let b = Array.length thunks in
-  let running : stepper option array = Array.make b None in
-  let out : batch_outcome option array = Array.make b None in
-  let live = ref 0 in
-  (* Trial i's (rng, graph) thunk runs exactly once, in batch order, before
-     any trial steps — matching the solo schedule where trial i's graph is
-     generated from its own stream before its run.  A thunk that raises
-     retires only its own slot. *)
-  for i = 0 to b - 1 do
-    match
-      let rng, g = thunks.(i) () in
-      stepper_start ~arena ~rng cfg g
-    with
-    | s ->
-        running.(i) <- Some s;
-        incr live
-    | exception exn ->
-        out.(i) <- Some (Error (exn, Printexc.get_raw_backtrace ()))
-  done;
-  (* Lockstep: one step of every live trial per sweep.  The completion
-     mask is [running]: a trial that stops (or raises) is finished and
-     cleared immediately, returning its pooled resources without touching
-     its siblings — their RNG streams, caches and witnesses are all
-     per-trial, and the shared workspaces are scratch that every step
-     leaves behind. *)
-  while !live > 0 do
-    for i = 0 to b - 1 do
-      match running.(i) with
-      | None -> ()
-      | Some s -> (
-          (match stepper_advance s with
-          | () -> ()
-          | exception exn ->
-              out.(i) <- Some (Error (exn, Printexc.get_raw_backtrace ()));
-              running.(i) <- None;
-              decr live);
-          match running.(i) with
-          | Some s when s.stopped <> None ->
-              (match stepper_finish s with
-              | r -> out.(i) <- Some (Ok r)
-              | exception exn ->
-                  out.(i) <- Some (Error (exn, Printexc.get_raw_backtrace ())));
-              running.(i) <- None;
-              decr live
-          | Some _ | None -> ())
-    done
-  done;
-  Array.map
-    (function Some o -> o | None -> assert false (* every slot retired *))
-    out
 
 let converged r = match r.reason with
   | Converged -> true

@@ -52,25 +52,6 @@ type config = {
   time_budget : float option;
       (** wall-clock budget in seconds for this run; exceeding it stops the
           run with {!Time_limit}. *)
-  scan_domains : int;
-      (** number of OCaml domains the max-cost policy fans its per-agent
-          cost BFS out over each step; [1] keeps everything on the calling
-          domain.  Any value produces the identical trajectory — this is a
-          throughput knob only. *)
-  incremental : bool;
-      (** keep one {!Distcache} alive across steps, patched after every
-          committed move, instead of refilling all distance tables each
-          step.  Either value produces the identical trajectory — the cache
-          changes when distances are computed, never their values (see
-          DESIGN.md §12).  [false] reverts to the step-scoped tables. *)
-  sublinear : bool;
-      (** serve [Max_cost] selection from a bucketed cost board maintained
-          incrementally from the distance cache's dirty sets, instead of
-          recomputing and sorting all n agent costs every step.  Requires
-          [incremental]; either value produces the identical trajectory
-          (same RNG draws, same probe order — see DESIGN.md §17), gated by
-          the sentinel and the differential/sublinear suites.  [false]
-          reverts to the full-scan [Policy.select_fast]. *)
   cache_budget : int option;
       (** cap on resident distance tables ({!Distcache} LRU eviction past
           it); [None] keeps every filled table resident.  A budget changes
@@ -89,16 +70,12 @@ val config :
   ?audit:Audit.level ->
   ?sentinel:Sentinel.level ->
   ?time_budget:float ->
-  ?scan_domains:int ->
-  ?incremental:bool ->
-  ?sublinear:bool ->
   ?cache_budget:int ->
   Model.t ->
   config
 (** Defaults: max-cost policy, best response, uniform ties, [100 * n + 1000]
     steps, cycle detection off, history on, audit off, sentinel off, no time
-    budget, one scan domain, incremental cache on, sublinear selection on,
-    unbounded cache residency. *)
+    budget, unbounded cache residency. *)
 
 type step = {
   index : int;  (** 0-based position in the run *)
@@ -129,100 +106,22 @@ type result = {
           the sentinel is off or no checked step diverged *)
   cache : Distcache.stats;
       (** incremental distance-cache decisions over the whole run
-          (kept/repaired/rebuilt tables, fresh fills, evictions);
-          {!Distcache.zero_stats} when [incremental] is off *)
+          (kept/repaired/rebuilt tables, fresh fills, evictions) *)
   residency : Distcache.residency;
       (** the cache's memory accounting at the end of the run — resident
-          and peak table counts/bytes against the configured budget;
-          {!Distcache.zero_residency} when [incremental] is off *)
+          and peak table counts/bytes against the configured budget *)
 }
 
-(** A shared arena of trial-scoped resources for running many trials of
-    one network size without re-allocating per trial.  The BFS workspaces
-    (live + lazy sentinel shadow) are stamped scratch shared by every
-    trial the arena serves; Distcache tables, witness tables and
-    cycle-detection sets carry genuine per-trial state, so the arena pools
-    them — a retiring trial returns its set, the next trial receives it
-    {e reset} to the freshly-created state.  Trajectories and per-trial
-    stats are therefore bit-identical with or without an arena.
-
-    Arenas are single-domain objects: they must never be shared across
-    concurrently running domains — give each domain its own (handing an
-    arena from one domain to another across a fork/join boundary is
-    fine). *)
-module Arena : sig
-  type t
-
-  val create : int -> t
-  (** [create n] builds an arena serving networks of exactly [n]
-      vertices. *)
-
-  val capacity : t -> int
-
-  val trials : t -> int
-  (** Trials retired through this arena so far. *)
-
-  val cache_stats : t -> Distcache.stats
-  (** Sum of the per-trial {!Distcache} stats over all retired trials. *)
-
-  type totals = {
-    arenas : int;  (** arenas created process-wide *)
-    batched_trials : int;  (** trials retired through any arena *)
-    cache : Distcache.stats;
-        (** their summed cache decisions — a {e subset} of
-            {!Distcache.totals}, which counts every trial batched or not;
-            keep the two apart to avoid double-counting *)
-  }
-
-  val totals : unit -> totals
-  (** Process-wide batching totals (all arenas, all domains), surfaced by
-      [ncg_sim --verbose] and the service [stats] op. *)
-
-  val reset_totals : unit -> unit
-end
-
-val run : ?arena:Arena.t -> ?rng:Random.State.t -> config -> Graph.t -> result
+val run : ?rng:Random.State.t -> config -> Graph.t -> result
 (** Runs the process on a private copy of the initial network.  [rng]
     defaults to a fixed seed, so runs are reproducible by default.
 
-    This is the {e fast} engine: witness-cached unhappiness probes,
-    distance-table costs and bounded-BFS best-response pruning
-    ({!Response.Fast}), optionally with parallel cost scans
-    ([scan_domains]).  Its trajectories are byte-identical to
-    {!Reference.run} — enforced by the differential suite.
-
-    [arena] supplies pooled trial resources (and must have
-    [capacity = Graph.n initial]); the result is bit-identical with or
-    without one. *)
-
-type batch_outcome = (result, exn * Printexc.raw_backtrace) Stdlib.result
-
-val run_batch :
-  ?arena:Arena.t ->
-  config ->
-  (unit -> Random.State.t * Graph.t) array ->
-  batch_outcome array
-(** [run_batch cfg thunks] runs [Array.length thunks] trials of the one
-    configuration [cfg] through a single lockstep step loop: each sweep
-    advances every live trial by one step, and a trial that stops retires
-    behind its completion mask — returning its pooled resources — without
-    perturbing its siblings, whose RNG streams, caches and witnesses are
-    all per-trial.  Slot [i] of the returned array is the result of trial
-    [i], or the exception (with backtrace) that trial raised; one raising
-    trial never loses its siblings.
-
-    Thunk [i] produces trial [i]'s private RNG and initial network; thunks
-    run exactly once each, in batch order, before any trial steps.  Seed
-    the RNGs exactly as the solo path does (for {!Runner} this is
-    [Runner.trial_rng]) and every trial is bit-identical to its solo run —
-    the batch differential suite asserts this across the game × policy ×
-    tie-break matrix.  The only schedule-dependent observable is
-    [time_budget]: every trial's wall-clock deadline starts at batch start
-    and ticks while siblings step, exactly as a trial's deadline ticks
-    while other processes share the core — so budgeted runs are only as
-    reproducible as the wall clock, batched or not.
-
-    [arena] defaults to a fresh arena of size [Model.n cfg.model]; pass a
-    resident one to amortize across successive batches. *)
+    This is the {e fast} engine: a cross-step {!Distcache} patched after
+    every move, witness-cached unhappiness probes, bounded-BFS
+    best-response pruning ({!Response.Fast}) and, under {!Policy.Max_cost},
+    a bucketed cost board refreshed from the cache's dirty sets.  Its
+    trajectories are byte-identical to {!Reference.run} — enforced by the
+    differential suite.  The [time_budget] clock starts when [run] is
+    called. *)
 
 val converged : result -> bool

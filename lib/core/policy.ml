@@ -62,34 +62,7 @@ let select t ~rng ~ws model g ~last =
     ~cost_of:(fun u -> Agents.cost_ws ws model g u)
     model g ~last
 
-(* Fill every missing distance table of the context, [domains]-wide: the
-   n source BFS of a cost scan are embarrassingly parallel, each domain
-   works a contiguous chunk with its own workspace and the results are
-   installed back on the calling domain. *)
-let preload_tables ~domains ctx g =
-  let n = Graph.n g in
-  let missing =
-    List.filter (fun v -> not (Response.Fast.has_table ctx v)) (Graph.vertices g)
-  in
-  if domains <= 1 || List.length missing <= 1 then
-    List.iter (fun v -> ignore (Response.Fast.cost ctx v)) missing
-  else begin
-    let k = min domains (List.length missing) in
-    let chunks = Array.make k [] in
-    List.iteri (fun i v -> chunks.(i mod k) <- v :: chunks.(i mod k)) missing;
-    Ncg_parallel.Pool.map ~domains
-      (fun chunk ->
-        let ws = Paths.Workspace.create n in
-        List.map (fun v -> (v, Paths.Workspace.distances ws g v)) chunk)
-      (Array.to_list chunks)
-    |> List.iter
-         (List.iter (fun (v, d) -> Response.Fast.set_table ctx v d))
-  end
-
-let select_fast t ~rng ~ctx ~witness ?(domains = 1) model g ~last =
-  (match t with
-  | Max_cost when domains > 1 -> preload_tables ~domains ctx g
-  | Max_cost | Random_unhappy | Round_robin | Adversarial _ -> ());
+let select_fast t ~rng ~ctx ~witness model g ~last =
   select_core t ~rng
     ~probe:(fun u -> Witness.probe witness ctx u)
     ~cost_of:(fun u -> Response.Fast.cost ctx u)

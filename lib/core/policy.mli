@@ -39,18 +39,13 @@ val select_fast :
   rng:Random.State.t ->
   ctx:Response.Fast.ctx ->
   witness:Witness.t ->
-  ?domains:int ->
   Model.t ->
   Graph.t ->
   last:int option ->
   int option
 (** Same agent, same RNG draws as {!select}, served by the fast path:
     unhappiness probes go through the witness cache and agent costs come
-    from the context's distance tables.  Under {!Max_cost} with
-    [domains > 1] the missing distance tables are precomputed in parallel
-    (one BFS per agent, fanned out over [domains] OCaml domains) before
-    the sequential selection runs — the parallel part only reads the
-    graph. *)
+    from the context's distance tables. *)
 
 val select_sublinear :
   t ->

@@ -11,4 +11,4 @@
 
 val run : ?rng:Random.State.t -> Engine.config -> Graph.t -> Engine.result
 (** Behaves exactly like {!Engine.run} (including the default RNG seed and
-    every RNG draw), just slower.  [config.scan_domains] is ignored. *)
+    every RNG draw), just slower. *)

@@ -35,17 +35,6 @@ let create n =
     skips = 0;
   }
 
-(* Return the table to its freshly-created state so an arena can hand it to
-   the next trial: every remembered move and certificate is dropped and the
-   counters zeroed, making per-trial hit/scan/skip stats identical to a solo
-   run's. *)
-let reset t =
-  Array.fill t.moves 0 (Array.length t.moves) None;
-  Array.fill t.certs 0 (Array.length t.certs) None;
-  t.hits <- 0;
-  t.scans <- 0;
-  t.skips <- 0
-
 let get t u = t.moves.(u)
 
 let note t u move =

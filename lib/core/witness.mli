@@ -20,12 +20,6 @@ type t
 val create : int -> t
 (** One empty slot per agent. *)
 
-val reset : t -> unit
-(** Forget every witness, certificate and counter — the freshly-created
-    state.  Called by {!Engine.Arena} when a pooled table is handed to the
-    next trial, so no stale move or skip certificate can leak between
-    trials and per-trial hit/scan/skip stats match a solo run's. *)
-
 val probe : t -> Response.Fast.ctx -> int -> bool
 (** Same boolean as [Response.Fast.is_unhappy ctx u], usually at the price
     of a single evaluation.  Updates the cache as a side effect. *)

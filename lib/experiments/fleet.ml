@@ -142,23 +142,6 @@ type report = {
   cross_duplicates : int;
 }
 
-let ensure_dir dir =
-  try Unix.mkdir dir 0o755
-  with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
-(* OCaml signal numbers are internal (Sys.sigkill = -7); name the common
-   ones so incident logs read "killed by SIGKILL", not "signal -7". *)
-let signal_name s =
-  if s = Sys.sigkill then "SIGKILL"
-  else if s = Sys.sigterm then "SIGTERM"
-  else if s = Sys.sigint then "SIGINT"
-  else if s = Sys.sigsegv then "SIGSEGV"
-  else if s = Sys.sigabrt then "SIGABRT"
-  else if s = Sys.sigbus then "SIGBUS"
-  else if s = Sys.sigstop then "SIGSTOP"
-  else if s = Sys.sigquit then "SIGQUIT"
-  else Printf.sprintf "signal %d" s
-
 let merge cfg ~nshards =
   let paths =
     List.init nshards (fun s -> (s, shard_checkpoint ~dir:cfg.dir ~shard:s))
@@ -188,7 +171,7 @@ let merge cfg ~nshards =
 
 let supervise cfg =
   if cfg.workers < 1 then invalid_arg "Fleet.supervise: workers < 1";
-  ensure_dir cfg.dir;
+  Sysx.ensure_dir cfg.dir;
   (* takeover hygiene: previous fleets' SIGKILLed writers may have left
      pid-unique lease temp files behind *)
   ignore (Lease.sweep_stale ~dir:cfg.dir ?incidents:cfg.incidents ());
@@ -302,7 +285,7 @@ let supervise cfg =
           | _, Unix.WEXITED 0 -> `Exited_ok (s, pid) :: acc
           | _, Unix.WEXITED c -> `Died (s, pid, Printf.sprintf "exited %d" c) :: acc
           | _, Unix.WSIGNALED sg ->
-              `Died (s, pid, "killed by " ^ signal_name sg) :: acc
+              `Died (s, pid, "killed by " ^ Sysx.signal_name sg) :: acc
           | _, Unix.WSTOPPED _ -> acc
           | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
               (* reaped elsewhere: only possible if the child is gone *)

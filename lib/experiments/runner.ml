@@ -27,8 +27,8 @@ let spec ?(policy = Policy.Max_cost) ?(tie_break = Engine.Uniform) ?max_steps
    published numbers bit for bit); retries fold the attempt index in as a
    fresh sub-seed.  Each (seed, trial, attempt) triple seeds a private
    stream by state-splitting — never by drawing from a shared stream — so
-   trial i's draws are identical whether it runs solo, inside a lockstep
-   batch, on any shard of any fleet, or after a resume. *)
+   trial i's draws are identical whatever the domain count, on any shard of
+   any fleet, or after a resume. *)
 let trial_rng t ~seed ~trial ~attempt =
   if attempt = 0 then Random.State.make [| seed; trial; Model.n t.model |]
   else Random.State.make [| seed; trial; Model.n t.model; attempt |]
@@ -36,19 +36,19 @@ let trial_rng t ~seed ~trial ~attempt =
 let backoff_budget budget ~attempt =
   Option.map (fun b -> b *. (2. ** float_of_int attempt)) budget
 
-let engine_config t ~attempt =
-  Engine.config ~policy:t.policy ~tie_break:t.tie_break
-    ~max_steps:t.max_steps ~detect_cycles:t.detect_cycles
-    ~record_history:false ~audit:t.audit ~sentinel:t.sentinel
-    ?time_budget:(backoff_budget t.time_budget ~attempt)
-    t.model
-
-let run_attempt ?arena t ~seed ~trial ~attempt =
+let run_attempt t ~seed ~trial ~attempt =
   let rng = trial_rng t ~seed ~trial ~attempt in
   let g = t.generate rng in
-  Engine.run ?arena ~rng (engine_config t ~attempt) g
+  let cfg =
+    Engine.config ~policy:t.policy ~tie_break:t.tie_break
+      ~max_steps:t.max_steps ~detect_cycles:t.detect_cycles
+      ~record_history:false ~audit:t.audit ~sentinel:t.sentinel
+      ?time_budget:(backoff_budget t.time_budget ~attempt)
+      t.model
+  in
+  Engine.run ~rng cfg g
 
-let run_trial ?arena t ~seed ~trial = run_attempt ?arena t ~seed ~trial ~attempt:0
+let run_trial t ~seed ~trial = run_attempt t ~seed ~trial ~attempt:0
 
 (* A retry is only worth burning time on when the failure could be
    transient or attempt-specific: a crash, a wall-clock timeout (the
@@ -62,33 +62,29 @@ let retryable = function
       true
   | Stats.Finished _ -> false
 
-let crashed_verdict exn backtrace =
-  ( Stats.Crashed
-      {
-        exn = Printexc.to_string exn;
-        backtrace = Printexc.raw_backtrace_to_string backtrace;
-      },
-    Sentinel.clean_report )
+let crashed exn backtrace =
+  Stats.Crashed
+    {
+      exn = Printexc.to_string exn;
+      backtrace = Printexc.raw_backtrace_to_string backtrace;
+    }
 
 let verdict_of_attempt t ~seed ~trial ~attempt =
   match run_attempt t ~seed ~trial ~attempt with
   | r ->
       ( Stats.Finished { reason = r.Engine.reason; steps = r.Engine.steps },
         r.Engine.sentinel )
-  | exception exn -> crashed_verdict exn (Printexc.get_raw_backtrace ())
+  | exception exn ->
+      (crashed exn (Printexc.get_raw_backtrace ()), Sentinel.clean_report)
 
-(* The retry loop, picking up from an already-computed attempt-0 verdict.
-   Batched attempt 0 is bit-identical to solo attempt 0, so feeding the
-   batch verdict here makes the whole outcome — attempts, degraded,
-   quarantined, divergences — identical to the historical per-trial
-   path. *)
-let trial_outcome_from t ~seed ~trial first =
-  let rec go attempt (verdict, sentinel) divergences =
+(* Every attempt, the first included, runs solo through [run_attempt], so
+   each one's wall-clock budget starts when that attempt starts. *)
+let trial_outcome t ~seed trial =
+  let rec go attempt divergences =
+    let verdict, sentinel = verdict_of_attempt t ~seed ~trial ~attempt in
     let divergences = divergences @ sentinel.Sentinel.incidents in
     if retryable verdict && attempt < t.max_retries then
-      go (attempt + 1)
-        (verdict_of_attempt t ~seed ~trial ~attempt:(attempt + 1))
-        divergences
+      go (attempt + 1) divergences
     else
       ( Stats.of_verdict ~attempts:(attempt + 1)
           ~degraded:(divergences <> [])
@@ -96,32 +92,7 @@ let trial_outcome_from t ~seed ~trial first =
           verdict,
         divergences )
   in
-  go 0 first []
-
-(* Attempt 0 of every trial in [chunk], in lockstep through the resident
-   [stream]; retries (rare) fall back to the solo path per trial. *)
-let chunk_outcomes t stream ~seed chunk =
-  let thunks =
-    Array.of_list
-      (List.map
-         (fun trial () ->
-           let rng = trial_rng t ~seed ~trial ~attempt:0 in
-           (rng, t.generate rng))
-         chunk)
-  in
-  let results = Batch.run stream thunks in
-  List.mapi
-    (fun i trial ->
-      let first =
-        match results.(i) with
-        | Ok r ->
-            ( Stats.Finished
-                { reason = r.Engine.reason; steps = r.Engine.steps },
-              r.Engine.sentinel )
-        | Error (exn, backtrace) -> crashed_verdict exn backtrace
-      in
-      trial_outcome_from t ~seed ~trial first)
-    chunk
+  go 0 []
 
 (* Cooperative interruption: a signal handler flips the flag; sweeps honor
    it at batch boundaries, after the completed batch has been recorded.
@@ -191,73 +162,21 @@ let run_outcomes ?(domains = 1) ?(seed = 2013) ?checkpoint ?(key = "")
         in
         split pending
   in
-  (* One resident batched stream per domain slot, reused across groups:
-     the arena behind each stream amortizes workspace/cache/witness
-     allocation over every trial that slot ever runs.  Slots of one group
-     run on distinct domains, and [Pool.map_result]'s join orders each
-     group's arena mutations before the next group reads them, so reuse is
-     race-free. *)
-  let streams = Array.make (max 1 domains) None in
-  let stream_for slot =
-    match streams.(slot) with
-    | Some s -> s
-    | None ->
-        let s = Batch.create (engine_config t ~attempt:0) in
-        streams.(slot) <- Some s;
-        s
-  in
-  (* Contiguous split of a group into at most [domains] chunks, tagged
-     with their stream slot. *)
-  let split_chunks group =
-    let len = List.length group in
-    let k = max 1 (min domains len) in
-    let size = (len + k - 1) / k in
-    let rec take n = function
-      | rest when n = 0 -> ([], rest)
-      | [] -> ([], [])
-      | x :: rest ->
-          let taken, dropped = take (n - 1) rest in
-          (x :: taken, dropped)
-    in
-    let rec go slot = function
-      | [] -> []
-      | l ->
-          let chunk, rest = take size l in
-          (slot, chunk) :: go (slot + 1) rest
-    in
-    go 0 group
-  in
   List.iter
     (fun batch ->
       if Atomic.get stop_flag then raise Interrupted;
-      let chunks = split_chunks batch in
       let captured =
-        Ncg_parallel.Pool.map_result ~domains
-          (fun (slot, chunk) -> chunk_outcomes t (stream_for slot) ~seed chunk)
-          chunks
+        Ncg_parallel.Pool.map_result ~domains (trial_outcome t ~seed) batch
       in
       let per_trial =
-        List.concat
-          (List.map2
-             (fun (_, chunk) capture ->
-               match capture with
-               | Ok pairs -> pairs
-               | Error (exn, backtrace) ->
-                   (* the batch engine and the retry loop capture trial
-                      exceptions themselves; this only fires if the
-                      harness around them fails *)
-                   List.map
-                     (fun _ ->
-                       ( Stats.of_verdict
-                           (Stats.Crashed
-                              {
-                                exn = Printexc.to_string exn;
-                                backtrace =
-                                  Printexc.raw_backtrace_to_string backtrace;
-                              }),
-                         [] ))
-                     chunk)
-             chunks captured)
+        List.map
+          (function
+            | Ok pair -> pair
+            | Error (exn, backtrace) ->
+                (* the retry loop captures trial exceptions itself; this
+                   only fires if the harness around it fails *)
+                (Stats.of_verdict (crashed exn backtrace), []))
+          captured
       in
       List.iter2
         (fun trial (outcome, divergences) ->

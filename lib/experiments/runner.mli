@@ -56,27 +56,16 @@ val trial_rng : spec -> seed:int -> trial:int -> attempt:int -> Random.State.t
     derivation, so published numbers reproduce bit for bit; attempt
     [a > 0] appends [a] as a fourth seed component.  Streams are split by
     {e state seeding}, never by drawing from a shared sweep stream: trial
-    [i] therefore draws the exact same stream whether it runs solo, as
-    lane [i mod B] of a lockstep batch, on any fleet shard, or on a
-    resumed run — and retry sub-seeds stay stable because they derive
-    from the triple, not from how many draws any other trial made.  The
-    batch differential suite pins this contract. *)
+    [i] therefore draws the exact same stream whatever the domain count,
+    on any fleet shard, or on a resumed run — and retry sub-seeds stay
+    stable because they derive from the triple, not from how many draws
+    any other trial made.  The experiments suite pins this contract. *)
 
-val engine_config : spec -> attempt:int -> Engine.config
-(** The engine configuration a given attempt runs under — history off,
-    wall-clock budget backed off per [backoff_budget].  Exposed so batch
-    callers (and the differential suites) can run {!Engine.run_batch}
-    under exactly the solo path's configuration. *)
-
-val run_trial :
-  ?arena:Engine.Arena.t -> spec -> seed:int -> trial:int -> Engine.result
+val run_trial : spec -> seed:int -> trial:int -> Engine.result
 (** First attempt of one trial — the historical RNG derivation
-    [(seed, trial, n)], so published numbers reproduce bit for bit.
-    [arena] supplies pooled trial resources; the result is bit-identical
-    with or without one. *)
+    [(seed, trial, n)], so published numbers reproduce bit for bit. *)
 
 val run_attempt :
-  ?arena:Engine.Arena.t ->
   spec -> seed:int -> trial:int -> attempt:int -> Engine.result
 (** [attempt = 0] is {!run_trial}; retries ([attempt > 0]) fold the
     attempt index into the RNG seed and run under
@@ -126,12 +115,8 @@ val run_outcomes :
     sentinel divergences, degraded trials and quarantined trials are
     appended to the incident log as they are observed.
 
-    Internally, attempt 0 of every pending trial streams through one
-    resident {!Batch} engine per domain slot (lockstep batching over a
-    shared arena); retries fall back to the per-trial path.  Outcomes,
-    checkpoint record layout and {!Stats} aggregates are bit-for-bit what
-    the historical one-engine-per-trial runner produced — the batch
-    differential suite asserts this.
+    Every attempt of every pending trial is one {!run_attempt}, so a
+    [time_budget] is measured per attempt from that attempt's start.
 
     [range = (lo, hi)] restricts the run to trials [lo <= t < hi] of the
     [trials]-trial batch and returns exactly those outcomes in order —

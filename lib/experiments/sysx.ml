@@ -509,3 +509,19 @@ let rec accept ?(stop = fun () -> false) ?(poll = 0.1) fd =
             Unix.Unix_error
               ((Unix.EINTR | Unix.EAGAIN | Unix.ECONNABORTED), _, _) ->
             accept ~stop ~poll fd)
+
+let ensure_dir dir =
+  try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
+
+(* OCaml signal numbers are internal (Sys.sigkill = -7); name the common
+   ones so incident logs read "killed by SIGKILL", not "signal -7". *)
+let signal_name s =
+  if s = Sys.sigkill then "SIGKILL"
+  else if s = Sys.sigterm then "SIGTERM"
+  else if s = Sys.sigint then "SIGINT"
+  else if s = Sys.sigsegv then "SIGSEGV"
+  else if s = Sys.sigabrt then "SIGABRT"
+  else if s = Sys.sigbus then "SIGBUS"
+  else if s = Sys.sigstop then "SIGSTOP"
+  else if s = Sys.sigquit then "SIGQUIT"
+  else Printf.sprintf "signal %d" s

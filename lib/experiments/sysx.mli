@@ -167,3 +167,10 @@ val accept : ?stop:(unit -> bool) -> ?poll:float -> Unix.file_descr ->
     accept loop ends within one poll even though closing the listening
     fd would not wake a blocked [accept(2)].  Returns [None] once [stop]
     holds. *)
+
+val ensure_dir : string -> unit
+(** [Unix.mkdir dir 0o755], tolerating only [EEXIST]. *)
+
+val signal_name : int -> string
+(** ["SIGKILL"], ["SIGTERM"], … for an OCaml signal number ({!Sys.sigkill}
+    and friends are negative internal codes), ["signal N"] for any other. *)

@@ -90,7 +90,7 @@ type t = {
   budget : int option;
   tables : Intvec.t option array;
   mutable free_tabs : Intvec.t list;
-      (* evicted/reset table buffers, reused by the next install *)
+      (* evicted table buffers, reused by the next install *)
   profiles : Paths.profile option array;
       (* cached per-source profile of tables.(v); invalidated on change *)
   psum : int array;  (* incremental (reached, sum) of tables.(v), valid *)
@@ -187,7 +187,6 @@ let create ?threshold ?budget n =
 
 let n t = t.n
 let threshold t = t.threshold
-let budget t = t.budget
 
 let table_bytes t = Intvec.bytes t.snap_a
 
@@ -343,36 +342,6 @@ let ensure t ~ws g v =
       Paths.Workspace.distances_into ws g v buf;
       install t v buf;
       buf
-
-(* Return the cache to its freshly-created state so an arena can hand it to
-   the next trial: tables and profiles are dropped (buffers recycled) and
-   the stat counters zeroed, making per-trial [stats] identical to a solo
-   run's.  The version counters and repair stamps stay monotone on purpose
-   — a skip certificate from a previous trial that pinned this cache can
-   then never validate again, even if its witness escaped the matching
-   [Witness.reset]. *)
-let reset t =
-  for k = 0 to t.res_count - 1 do
-    let v = t.res_list.(k) in
-    (match t.tables.(v) with
-    | Some buf -> t.free_tabs <- buf :: t.free_tabs
-    | None -> ());
-    t.tables.(v) <- None;
-    t.res_pos.(v) <- -1
-  done;
-  t.res_count <- 0;
-  t.res_peak <- 0;
-  Array.fill t.profiles 0 (Array.length t.profiles) None;
-  Array.fill t.pvalid 0 (Array.length t.pvalid) false;
-  Array.fill t.last_use 0 (Array.length t.last_use) 0;
-  Array.fill t.pin_count 0 (Array.length t.pin_count) 0;
-  t.clock <- 0;
-  clear_dirty t;
-  t.kept <- 0;
-  t.repaired <- 0;
-  t.rebuilt <- 0;
-  t.fills <- 0;
-  t.evicted <- 0
 
 let table_version t v = t.table_ver.(v)
 let touch_version t v = t.touch_ver.(v)

@@ -59,7 +59,6 @@ val create : ?threshold:int -> ?budget:int -> int -> t
 
 val n : t -> int
 val threshold : t -> int
-val budget : t -> int option
 
 val residency : t -> residency
 (** Memory accounting snapshot — resident/peak counts and bytes. *)
@@ -142,14 +141,6 @@ val iter_dirty : (int -> unit) -> t -> unit
 (** Iterate the dirty agents (all of [0 .. n-1] when {!dirty_all}). *)
 
 val stats : t -> stats
-
-val reset : t -> unit
-(** Return the cache to its freshly-created state — tables and profiles
-    dropped (buffers recycled), residency and stat counters zeroed — so an
-    {!Engine.Arena} can hand it to the next trial with per-trial [stats]
-    identical to a solo run's.  The version counters stay monotone: a
-    {!Witness} skip certificate minted against this cache in an earlier
-    trial can never validate again. *)
 
 (** {2 Process-wide totals}
 

@@ -338,8 +338,6 @@ module Fast = struct
   let create ws model g = of_cache ws model g (Distcache.create (Graph.n g))
   let cache ctx = ctx.cache
   let set_prefilter ctx on = ctx.prefilter <- on
-  let has_table ctx v = Distcache.get ctx.cache v <> None
-  let set_table ctx v d = Distcache.set ctx.cache v d
   let table_fills ctx = ctx.table_fills
 
   let table ctx v =

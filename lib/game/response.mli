@@ -103,9 +103,8 @@ module Fast : sig
       reject buy/swap candidates whose exact profile provably misses the
       admission budget (on by default).  Either setting evaluates the same
       admitted set — the caps only skip provably over-budget scans — so
-      results are identical; [false] restores the historical full-scan
-      enumeration cost profile, which the engine uses as the
-      [sublinear:false] baseline. *)
+      results are identical; [false] restores the uncapped enumeration
+      cost profile. *)
 
   val cost : ctx -> int -> Cost.t
   (** Same value as [Agents.cost], served from the cached table. *)
@@ -115,12 +114,6 @@ module Fast : sig
       {!Cost.compare} orders finite costs by, with [max_int] standing in
       for [Disconnected] (above every finite key, as [Cost.compare] places
       it).  The bucketed max-cost selection sorts on these keys. *)
-
-  val has_table : ctx -> int -> bool
-
-  val set_table : ctx -> int -> int array -> unit
-  (** Install a distance table computed elsewhere — the max-cost policy
-      fans the n source BFS out over domains and installs the results. *)
 
   val table_fills : ctx -> int
   (** Number of lazily filled tables so far (observability/tests). *)

@@ -618,9 +618,6 @@ type report = {
   region_fingerprint : string;
 }
 
-let ensure_dir dir =
-  try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
 let chunk_plan ~count ~chunk_size =
   let size = max 1 chunk_size in
   let n = (count + size - 1) / size in
@@ -669,17 +666,6 @@ let merge_wave ~dir ~fingerprint:fp ~wave frontier =
     frontier;
   (xs, List.rev !arcs)
 
-(* OCaml signal numbers are internal (Sys.sigkill = -7); name the common
-   ones so incident logs read "killed by SIGKILL", not "signal -7". *)
-let signal_name s =
-  if s = Sys.sigkill then "SIGKILL"
-  else if s = Sys.sigterm then "SIGTERM"
-  else if s = Sys.sigint then "SIGINT"
-  else if s = Sys.sigsegv then "SIGSEGV"
-  else if s = Sys.sigabrt then "SIGABRT"
-  else if s = Sys.sigstop then "SIGSTOP"
-  else Printf.sprintf "signal %d" s
-
 (* Run one wave's expansion to completion: every chunk lease Done with a
    committed chunk file.  In-process when [spawn] is None, else the fleet
    protocol of Fleet.supervise — waitpid + heartbeat expiry, SIGKILL
@@ -689,7 +675,7 @@ let signal_name s =
 let run_wave cfg spec ~wave ~count =
   let fp = fingerprint spec in
   let wdir = wave_dir cfg.dir wave in
-  ensure_dir wdir;
+  Sysx.ensure_dir wdir;
   ignore (Lease.sweep_stale ~dir:wdir ?incidents:cfg.incidents ());
   sweep_own_tmps ?incidents:cfg.incidents wdir;
   let lfp = lease_fingerprint spec wave in
@@ -819,7 +805,7 @@ let run_wave cfg spec ~wave ~count =
                  | _, Unix.WEXITED c ->
                      `Died (s, pid, Printf.sprintf "exited %d" c) :: acc
                  | _, Unix.WSIGNALED sg ->
-                     `Died (s, pid, "killed by " ^ signal_name sg) :: acc
+                     `Died (s, pid, "killed by " ^ Sysx.signal_name sg) :: acc
                  | _, Unix.WSTOPPED _ -> acc
                  | exception Unix.Unix_error (Unix.ECHILD, _, _) ->
                      `Died (s, pid, "waitpid: no such child") :: acc)
@@ -909,7 +895,7 @@ let crc_chain acc s = Checkpoint.crc32 (Printf.sprintf "%08x|%s" acc s)
 let run cfg spec =
   if cfg.chunk_size < 1 then invalid_arg "Cartography.run: chunk_size < 1";
   let fp = fingerprint spec in
-  ensure_dir cfg.dir;
+  Sysx.ensure_dir cfg.dir;
   check_meta ~dir:cfg.dir ~fingerprint:fp;
   sweep_own_tmps ?incidents:cfg.incidents cfg.dir;
   (* --- recovery: find the committed prefix --------------------------- *)

@@ -115,22 +115,9 @@ let send_line fd json =
 (* Worker process                                                      *)
 (* ------------------------------------------------------------------ *)
 
-(* The worker's resident arena, kept across jobs and re-created only when
-   the network size changes: every no-deadline job streams its trials
-   through it in lockstep batches, so a long-lived worker pays the
-   workspace/cache/witness allocations once per size, not once per
-   trial. *)
-let worker_arena : (int * Engine.Arena.t) option ref = ref None
-
-let arena_for n =
-  match !worker_arena with
-  | Some (m, a) when m = n -> a
-  | _ ->
-      let a = Engine.Arena.create n in
-      worker_arena := Some (n, a);
-      a
-
-let batch_width = 32
+(* Trials this worker process has run, reported with its cumulative
+   cache totals on every result frame. *)
+let worker_trials = ref 0
 
 let run_job (job : Proto.job) ~budget =
   let n = Proto.host_n job.Proto.host in
@@ -153,66 +140,42 @@ let run_job (job : Proto.job) ~budget =
   in
   let outcomes = ref [] in
   let deadline_hit = ref false in
-  (* the Runner derivation — (seed, trial, n) — so service trials match a
-     local Runner batch on the same parameters *)
-  let trial_pair trial () =
-    let rng = Random.State.make [| job.Proto.seed; trial; n |] in
-    let g =
-      match host_graph with
-      | None -> Gen.random_connected rng n job.Proto.edge_prob
-      | Some h -> Gen.random_host_network rng h job.Proto.edge_prob
-    in
-    (rng, g)
-  in
-  let cfg ?time_budget () =
+  let cfg =
     Engine.config ~policy:job.Proto.policy ~tie_break:job.Proto.tie_break
-      ~detect_cycles:true ~record_history:false
-      ?max_steps:job.Proto.max_steps ?time_budget model
+      ~detect_cycles:true ~record_history:false ?max_steps:job.Proto.max_steps
+      model
   in
-  let arena = arena_for n in
-  (match budget with
-  | None ->
-      (* No deadline: stream the trials through the resident arena in
-         lockstep batches — outcomes are bit-identical to the historical
-         one-engine-per-trial loop.  A raising trial fails the whole job,
-         exactly as it did when the loop let the exception escape. *)
-      let cfg = cfg () in
-      let trial = ref 0 in
-      while !trial < job.Proto.trials do
-        let width = min batch_width (job.Proto.trials - !trial) in
-        let thunks = Array.init width (fun i -> trial_pair (!trial + i)) in
-        Array.iter
-          (function
-            | Ok r -> outcomes := Stats.outcome_of_result r :: !outcomes
-            | Error (exn, backtrace) ->
-                Printexc.raise_with_backtrace exn backtrace)
-          (Engine.run_batch ~arena cfg thunks);
-        trial := !trial + width
-      done
-  | Some _ ->
-      (* Deadline path: strictly sequential so each trial runs under the
-         budget left after its predecessors, as deadline semantics
-         require — the arena still amortizes allocations. *)
-      (try
-         for trial = 0 to job.Proto.trials - 1 do
-           let left = remaining () in
-           (match left with
-           | Some r when r <= 0.0 ->
-               deadline_hit := true;
-               raise Exit
-           | _ -> ());
-           let rng, g = trial_pair trial () in
-           let result = Engine.run ~arena ~rng (cfg ?time_budget:left ()) g in
-           outcomes := Stats.outcome_of_result result :: !outcomes;
-           match result.Engine.reason with
-           | Engine.Time_limit ->
-               (* the only clock a service trial runs under is the job's
-                  remaining deadline, so Time_limit means the job is out *)
-               deadline_hit := true;
-               raise Exit
-           | _ -> ()
-         done
-       with Exit -> ()));
+  (* Strictly sequential, so each trial runs under the budget left after
+     its predecessors, as deadline semantics require.  A raising trial
+     fails the whole job. *)
+  (try
+     for trial = 0 to job.Proto.trials - 1 do
+       let left = remaining () in
+       (match left with
+       | Some r when r <= 0.0 ->
+           deadline_hit := true;
+           raise Exit
+       | _ -> ());
+       (* the Runner derivation — (seed, trial, n) — so service trials
+          match a local Runner batch on the same parameters *)
+       let rng = Random.State.make [| job.Proto.seed; trial; n |] in
+       let g =
+         match host_graph with
+         | None -> Gen.random_connected rng n job.Proto.edge_prob
+         | Some h -> Gen.random_host_network rng h job.Proto.edge_prob
+       in
+       let result = Engine.run ~rng { cfg with Engine.time_budget = left } g in
+       incr worker_trials;
+       outcomes := Stats.outcome_of_result result :: !outcomes;
+       match result.Engine.reason with
+       | Engine.Time_limit ->
+           (* the only clock a service trial runs under is the job's
+              remaining deadline, so Time_limit means the job is out *)
+           deadline_hit := true;
+           raise Exit
+       | _ -> ()
+     done
+   with Exit -> ());
   let summary =
     Proto.summary_to_json (Stats.summarize_outcomes (List.rev !outcomes))
   in
@@ -237,21 +200,21 @@ let run_job_line line =
           | r -> (id, r)
           | exception exn -> (id, Proto.Failed (Printexc.to_string exn))))
 
-(* The worker's cumulative arena totals, attached to every result frame
-   so the daemon can surface per-worker batch cache behavior through the
-   [stats] op.  Cumulative since the worker process started — a respawned
-   worker starts over, and the daemon always keeps the latest frame. *)
-let arena_totals_json () =
-  let t = Engine.Arena.totals () in
+(* The worker's cumulative trial count and distance-cache totals, attached
+   to every result frame so the daemon can surface per-worker cache
+   behavior through the [health] op.  Cumulative since the worker process
+   started — a respawned worker starts over, and the daemon always keeps
+   the latest frame. *)
+let worker_totals_json () =
+  let c = Distcache.totals () in
   Json.Obj
     [
-      ("arenas", Json.Int t.Engine.Arena.arenas);
-      ("batched_trials", Json.Int t.Engine.Arena.batched_trials);
-      ("kept", Json.Int t.Engine.Arena.cache.Distcache.kept);
-      ("repaired", Json.Int t.Engine.Arena.cache.Distcache.repaired);
-      ("rebuilt", Json.Int t.Engine.Arena.cache.Distcache.rebuilt);
-      ("fills", Json.Int t.Engine.Arena.cache.Distcache.fills);
-      ("evicted", Json.Int t.Engine.Arena.cache.Distcache.evicted);
+      ("batched_trials", Json.Int !worker_trials);
+      ("kept", Json.Int c.Distcache.kept);
+      ("repaired", Json.Int c.Distcache.repaired);
+      ("rebuilt", Json.Int c.Distcache.rebuilt);
+      ("fills", Json.Int c.Distcache.fills);
+      ("evicted", Json.Int c.Distcache.evicted);
     ]
 
 let worker_main ~slot ~lease_dir ~heartbeat_interval () =
@@ -281,7 +244,7 @@ let worker_main ~slot ~lease_dir ~heartbeat_interval () =
     | Some line ->
         let id, result = run_job_line line in
         send_line Unix.stdout
-          (Proto.worker_result_to_json ~batch:(arena_totals_json ()) ~id
+          (Proto.worker_result_to_json ~batch:(worker_totals_json ()) ~id
              result);
         loop ()
   in
@@ -323,7 +286,8 @@ type slot = {
   mutable alive : bool;
   mutable job : job option;
   mutable batch_stats : Json.t option;
-      (* latest cumulative arena totals reported by this slot's worker *)
+      (* latest cumulative trial and cache totals reported by this slot's
+         worker *)
 }
 
 type t = {
@@ -780,7 +744,7 @@ let health_json t =
              | None -> []))
          t.slots)
   in
-  (* Sum of the latest per-worker arena totals — each worker's numbers are
+  (* Sum of the latest per-worker totals — each worker's numbers are
      cumulative for its own process, so latest-per-slot sums without
      double-counting (a respawned worker restarts its own count). *)
   let batch_total =
@@ -801,8 +765,7 @@ let health_json t =
       (List.map
          (fun name -> (name, Json.Int (sum name)))
          [
-           "arenas"; "batched_trials"; "kept"; "repaired"; "rebuilt"; "fills";
-           "evicted";
+           "batched_trials"; "kept"; "repaired"; "rebuilt"; "fills"; "evicted";
          ])
   in
   let reply =

@@ -109,8 +109,8 @@ type worker_result =
 
 val worker_result_to_json : ?batch:Json.t -> id:int -> worker_result -> Json.t
 (** [batch], when given, rides along as a ["batch"] field — the worker's
-    cumulative arena totals ({!Engine.Arena.totals} since the worker
-    process started), which the daemon surfaces through the [stats] op.
+    trial count and cumulative {!Distcache.totals} since the worker
+    process started, which the daemon surfaces through the [health] op.
     Absent on historical frames; parsers must tolerate both. *)
 
 val worker_result_of_json :

@@ -24,7 +24,6 @@ let () =
       Suite_instances.suite;
       Suite_search.suite;
       Suite_experiments.suite;
-      Suite_batch.suite;
       Suite_faulty.suite;
       Suite_fleet.suite;
       Suite_service.suite;

@@ -1,11 +1,11 @@
 (* Differential oracle suite: the fast engine (witness cache, distance
-   tables, bounded BFS, optional parallel scans) against the preserved
+   tables, bounded BFS, cost board) against the preserved
    naive engine ([Reference.run]).  Both are run on the same seeds and
    must produce byte-identical trajectories — same moves in the same
    order with the same recorded costs, same stop reason, same final
    network.  Every game type, both distance modes, the three standard
    policies, both move rules, the paper tie-breaks, cycle detection and
-   multi-domain scans are exercised; well over 200 seeded runs total. *)
+   the cross-step cache are exercised; well over 200 seeded runs total. *)
 open Ncg_graph
 open Ncg_game
 open Ncg_core
@@ -167,29 +167,11 @@ let test_audited_parity () =
     assert_identical "audited" cfg g seed
   done
 
-let test_scan_domains () =
-  (* Parallel cost scans are a throughput knob only: any domain count
-     yields the same trajectory as the reference. *)
-  List.iter
-    (fun scan_domains ->
-      for seed = 1 to 3 do
-        let rng = Random.State.make [| seed; 0xd0 |] in
-        let g = Gen.random_m_edges rng 20 32 in
-        let model =
-          Model.make ~alpha:(Ncg_rational.Q.of_int 5) Model.Gbg Model.Sum 20
-        in
-        let cfg = Engine.config ~scan_domains ~max_steps:400 model in
-        assert_identical
-          (Printf.sprintf "scan-domains=%d" scan_domains)
-          cfg g seed
-      done)
-    [ 2; 4 ]
-
 let test_incremental_column () =
   (* The cross-step cache changes *when* distances are computed, never
-     their values: with the cache on (the default), off, and against the
-     reference, all three trajectories must be byte-identical — and the
-     incremental run must actually exercise the cache (keeps/repairs). *)
+     their values: the engine's trajectory must be byte-identical to the
+     reference's — and the run must actually exercise the cache
+     (keeps/repairs). *)
   let exercised = ref 0 in
   List.iter
     (fun (game, dist_mode, mk) ->
@@ -199,28 +181,14 @@ let test_incremental_column () =
         let model =
           Model.make ~alpha:(Ncg_rational.Q.of_int 3) game dist_mode n
         in
-        let run incremental =
-          Engine.run
-            ~rng:(Random.State.make [| seed; 0xd1ff |])
-            (Engine.config ~incremental ~max_steps:400 model)
-            g
-        in
-        let inc = run true and plain = run false in
-        let naive =
-          Reference.run
-            ~rng:(Random.State.make [| seed; 0xd1ff |])
-            (Engine.config ~max_steps:400 model)
-            g
-        in
-        check "incremental = plain fast" true (identical inc plain);
+        let cfg = Engine.config ~max_steps:400 model in
+        let rng () = Random.State.make [| seed; 0xd1ff |] in
+        let inc = Engine.run ~rng:(rng ()) cfg g in
+        let naive = Reference.run ~rng:(rng ()) cfg g in
         check "incremental = reference" true (identical inc naive);
         exercised :=
           !exercised + inc.Engine.cache.Distcache.kept
-          + inc.Engine.cache.Distcache.repaired;
-        check_int "plain fast path reports no cache activity" 0
-          (plain.Engine.cache.Distcache.kept
-          + plain.Engine.cache.Distcache.repaired
-          + plain.Engine.cache.Distcache.rebuilt)
+          + inc.Engine.cache.Distcache.repaired
       done)
     [
       (Model.Gbg, Model.Sum, fun rng -> (12, Gen.random_m_edges rng 12 20));
@@ -345,7 +313,6 @@ let suite =
       Alcotest.test_case "adversarial scheduler" `Quick test_adversarial;
       Alcotest.test_case "cycle-detection parity" `Quick test_cycle_parity;
       Alcotest.test_case "audited-run parity" `Quick test_audited_parity;
-      Alcotest.test_case "parallel scan parity" `Quick test_scan_domains;
       Alcotest.test_case "incremental-cache parity" `Quick
         test_incremental_column;
       Alcotest.test_case "witness hit accounting" `Quick test_witness_hits;

@@ -344,6 +344,170 @@ let test_quarantine_reaches_incident_log () =
             (Astring_like.contains line "\"attempts\":2"))
         !lines)
 
+(* ------------------------------------------------------------------ *)
+(* Trial seeding, shards, interruption, per-trial budgets              *)
+(* ------------------------------------------------------------------ *)
+
+let gbg_spec ?time_budget () =
+  let model =
+    Model.make ~alpha:(Ncg_rational.Q.of_int 3) Model.Gbg Model.Sum 10
+  in
+  Runner.spec ~max_steps:400 ?time_budget model (fun rng ->
+      Ncg_graph.Gen.random_m_edges rng 10 14)
+
+let test_rng_contract () =
+  let spec = gbg_spec () in
+  (* attempt 0 is the historical (seed, trial, n) triple — a state-split
+     private stream, not draws off a shared sweep stream *)
+  let trial_stream = Runner.trial_rng spec ~seed:42 ~trial:3 ~attempt:0 in
+  let expected = Random.State.make [| 42; 3; 10 |] in
+  for _ = 1 to 32 do
+    check_int "trial stream = (seed, trial, n) stream"
+      (Random.State.int expected 1_000_000)
+      (Random.State.int trial_stream 1_000_000)
+  done;
+  (* the retry sub-seed appends the attempt to the triple; it cannot
+     depend on how many draws attempt 0 (or any other trial) made *)
+  let attempt0 = Runner.trial_rng spec ~seed:42 ~trial:3 ~attempt:0 in
+  for _ = 1 to 17 do
+    ignore (Random.State.int attempt0 99)
+  done;
+  let retry = Runner.trial_rng spec ~seed:42 ~trial:3 ~attempt:1 in
+  let expected = Random.State.make [| 42; 3; 10; 1 |] in
+  for _ = 1 to 32 do
+    check_int "retry sub-seed stable under other draws"
+      (Random.State.int expected 1_000_000)
+      (Random.State.int retry 1_000_000)
+  done
+
+let test_shard_is_slice () =
+  let spec = gbg_spec () in
+  let full = Runner.run_outcomes ~seed:9 ~trials:10 spec in
+  let shard = Runner.run_outcomes ~seed:9 ~trials:10 ~range:(4, 9) spec in
+  check "shard outcomes = slice of the full run" true
+    (shard = List.filteri (fun i _ -> i >= 4 && i < 9) full)
+
+let test_interrupt_resume_parity () =
+  (* A stop request lands after the first recorded checkpoint group; the
+     resumed run must reproduce the uninterrupted outcomes bit for bit —
+     the same guarantee suite_fleet checks with real SIGKILLs through the
+     CLI, here at the runner layer. *)
+  with_temp_checkpoint (fun path ->
+      let uninterrupted = Runner.run_outcomes ~trials:20 (gbg_spec ()) in
+      Runner.reset_stop ();
+      let cp = Checkpoint.open_ ~fingerprint:"interrupt" path in
+      let fired = ref 0 in
+      (match
+         Runner.run_outcomes ~checkpoint:cp ~key:"b" ~trials:20
+           ~on_batch:(fun () ->
+             incr fired;
+             if !fired = 1 then Runner.request_stop ())
+           (gbg_spec ())
+       with
+      | _ -> Alcotest.fail "expected Interrupted"
+      | exception Runner.Interrupted -> ());
+      Checkpoint.close cp;
+      Runner.reset_stop ();
+      let cp = Checkpoint.open_ ~resume:true ~fingerprint:"interrupt" path in
+      let done_before = List.length (Checkpoint.completed cp ~key:"b") in
+      check "interrupt left a strict prefix on disk" true
+        (done_before > 0 && done_before < 20);
+      let resumed =
+        Runner.run_outcomes ~checkpoint:cp ~key:"b" ~trials:20 (gbg_spec ())
+      in
+      Checkpoint.close cp;
+      check "resumed outcomes bit-identical to uninterrupted" true
+        (resumed = uninterrupted))
+
+let test_retry_subseed_stability () =
+  (* Trials whose generator raises are retried on the appended-attempt
+     sub-seed; the attempt that finally succeeds inside the sweep must be
+     byte-identical to the same attempt run on its own. *)
+  let model =
+    Model.make ~alpha:(Ncg_rational.Q.of_int 3) Model.Gbg Model.Sum 8
+  in
+  let generate rng =
+    let g = Ncg_graph.Gen.random_m_edges rng 8 10 in
+    if Random.State.int rng 4 = 0 then failwith "injected fault";
+    g
+  in
+  let spec = Runner.spec ~max_steps:400 ~max_retries:2 model generate in
+  let seed = 5 in
+  let outcomes = Runner.run_outcomes ~seed ~trials:12 spec in
+  check_int "every trial has an outcome" 12 (List.length outcomes);
+  check "the fault injection actually fired" true
+    (List.exists (fun o -> o.Stats.attempts > 1) outcomes);
+  List.iteri
+    (fun trial o ->
+      match o.Stats.verdict with
+      | Stats.Finished { reason; steps } ->
+          let attempt = o.Stats.attempts - 1 in
+          let solo = Runner.run_attempt spec ~seed ~trial ~attempt in
+          check "winning attempt reproduces its sub-seed" true
+            (solo.Engine.reason = reason && solo.Engine.steps = steps)
+      | Stats.Crashed _ ->
+          check "exhausted trials are quarantined" true o.Stats.quarantined)
+    outcomes;
+  check "retries are deterministic" true
+    (Runner.run_outcomes ~seed ~trials:12 spec = outcomes)
+
+let test_expired_budget_stops_at_step_zero () =
+  (* A budget strictly in the past stops every trial at step 0 with
+     [Time_limit] — deterministically.  (A 0.0 budget would be a coin
+     flip: the deadline check is a strict comparison, so a first step
+     landing in the same clock microsecond as the start still executes.) *)
+  let spec = gbg_spec ~time_budget:(-1.0) () in
+  List.iteri
+    (fun trial (o : Stats.outcome) ->
+      check "outcome: Time_limit at step 0" true
+        (o.Stats.verdict
+        = Stats.Finished { reason = Engine.Time_limit; steps = 0 });
+      let r = Runner.run_trial spec ~seed:21 ~trial in
+      check "trial: Time_limit at step 0" true
+        (r.Engine.reason = Engine.Time_limit && r.Engine.steps = 0))
+    (Runner.run_outcomes ~seed:21 ~trials:4 spec)
+
+let test_time_budget_is_per_trial () =
+  (* [time_budget] is a per-trial clock: a sweep whose every trial gets
+     several times the slowest trial's own run time must time out none of
+     them, however many trials run before it. *)
+  let n = 80 in
+  let model =
+    Model.make ~alpha:(Ncg_rational.Q.make n 4) Model.Gbg Model.Sum n
+  in
+  let spec ?time_budget () =
+    Runner.spec ~tie_break:Engine.Prefer_deletion ?time_budget model
+      (fun rng -> Ncg_graph.Gen.random_m_edges rng n (4 * n))
+  in
+  let trials = 8 and seed = 11 in
+  let slowest = ref 0.0 in
+  for trial = 0 to trials - 1 do
+    let t0 = Unix.gettimeofday () in
+    ignore (Runner.run_trial (spec ()) ~seed ~trial);
+    slowest := Float.max !slowest (Unix.gettimeofday () -. t0)
+  done;
+  let s =
+    Runner.run ~domains:1 ~seed ~trials
+      (spec ~time_budget:(4.0 *. !slowest) ())
+  in
+  check_int "every trial ran" trials s.Stats.runs;
+  check_int "no trial timed out" 0 s.Stats.timed_out
+
+let test_signal_names () =
+  List.iter
+    (fun (s, name) -> Alcotest.(check string) name name (Sysx.signal_name s))
+    [
+      (Sys.sigkill, "SIGKILL");
+      (Sys.sigterm, "SIGTERM");
+      (Sys.sigint, "SIGINT");
+      (Sys.sigsegv, "SIGSEGV");
+      (Sys.sigabrt, "SIGABRT");
+      (Sys.sigbus, "SIGBUS");
+      (Sys.sigstop, "SIGSTOP");
+      (Sys.sigquit, "SIGQUIT");
+      (Sys.sigusr1, Printf.sprintf "signal %d" Sys.sigusr1);
+    ]
+
 let test_sweep_checkpoint_resume () =
   with_temp_checkpoint (fun path ->
       let params checkpoint =
@@ -512,6 +676,18 @@ let suite =
         test_no_retries_is_historical_behavior;
       Alcotest.test_case "quarantine reaches incident log" `Quick
         test_quarantine_reaches_incident_log;
+      Alcotest.test_case "RNG seeding contract" `Quick test_rng_contract;
+      Alcotest.test_case "shard = slice of the full run" `Quick
+        test_shard_is_slice;
+      Alcotest.test_case "interrupt/resume at a checkpoint group" `Quick
+        test_interrupt_resume_parity;
+      Alcotest.test_case "retry sub-seed stability" `Quick
+        test_retry_subseed_stability;
+      Alcotest.test_case "expired budget is Time_limit at step 0" `Quick
+        test_expired_budget_stops_at_step_zero;
+      Alcotest.test_case "time budget is per trial" `Quick
+        test_time_budget_is_per_trial;
+      Alcotest.test_case "signal names" `Quick test_signal_names;
       Alcotest.test_case "sweep checkpoint resume" `Quick
         test_sweep_checkpoint_resume;
       Alcotest.test_case "asg sweep structure" `Quick

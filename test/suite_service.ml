@@ -338,7 +338,15 @@ let test_cache_isomorphic_hosts () =
                      ());
                 let o3 = next_outcome c in
                 check "different instance recomputed" true
-                  (Json.member "cached" o3 = Some (Json.Bool false))))
+                  (Json.member "cached" o3 = Some (Json.Bool false));
+                (* the workers ran exactly the two computed jobs' trials;
+                   the cache hit ran none *)
+                let batch =
+                  Option.value (Json.member "batch" (health c))
+                    ~default:(Json.Obj [])
+                in
+                check "health batch counts the computed trials" true
+                  (jint batch "batched_trials" = Some 6)))
       in
       ())
 

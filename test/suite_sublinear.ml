@@ -175,8 +175,8 @@ let prop_select_equals_select_fast =
       && Random.State.bits rng_fast = Random.State.bits rng_board
       && Random.State.bits rng_fast = Random.State.bits rng_board)
 
-(* Whole trajectories under random move sequences: the engine with the
-   cost board (sublinear:true) against the full-scan fast path, across
+(* Whole trajectories under random move sequences: the engine (cost board
+   under [Max_cost]) against the full-scan oracle [Reference.run], across
    both dist modes and both stochastic policies.  [Random_unhappy] takes
    the shared probe skeleton — included to pin that the fall-through
    draws stay in lockstep too. *)
@@ -191,14 +191,13 @@ let prop_trajectories_identical =
       let policy =
         if random_policy then Policy.Random_unhappy else Policy.Max_cost
       in
-      let run sublinear =
-        let cfg =
-          Engine.config ~policy ~tie_break:Engine.Uniform ~max_steps:25
-            ~record_history:true ~incremental:true ~sublinear model
-        in
-        Engine.run ~rng:(Random.State.make [| seed; 0xfa57 |]) cfg g
+      let cfg =
+        Engine.config ~policy ~tie_break:Engine.Uniform ~max_steps:25
+          ~record_history:true model
       in
-      let a = run false and b = run true in
+      let rng () = Random.State.make [| seed; 0xfa57 |] in
+      let a = Reference.run ~rng:(rng ()) cfg g in
+      let b = Engine.run ~rng:(rng ()) cfg g in
       a.Engine.steps = b.Engine.steps
       && a.Engine.reason = b.Engine.reason
       && Graph.equal a.Engine.final b.Engine.final
@@ -283,8 +282,7 @@ let prop_budget_engine_identical =
         let cfg =
           Engine.config ~policy:Policy.Max_cost
             ~tie_break:Engine.Prefer_deletion ~max_steps:30
-            ~record_history:true ~incremental:true ~sublinear:true
-            ?cache_budget model
+            ~record_history:true ?cache_budget model
         in
         Engine.run ~rng:(Random.State.make [| seed; 0xfa57 |]) cfg g
       in
@@ -307,8 +305,7 @@ let test_result_surfaces_residency () =
   let run cache_budget =
     let cfg =
       Engine.config ~policy:Policy.Max_cost ~tie_break:Engine.Prefer_deletion
-        ~max_steps:40 ~record_history:false ~incremental:true ~sublinear:true
-        ?cache_budget model
+        ~max_steps:40 ~record_history:false ?cache_budget model
     in
     Engine.run ~rng:(Random.State.make [| 3; 0xfa57 |]) cfg g
   in

@@ -59,9 +59,6 @@ type scenario = {
   verify : string -> string list;  (* parent, disarmed: invariant errors *)
 }
 
-let mkdir_p dir =
-  try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
-
 (* ---- checkpoint: atomic rewrite ---------------------------------- *)
 
 let sorted_completed cp = List.sort compare (Checkpoint.completed cp ~key)
@@ -96,7 +93,7 @@ let ckpt_rewrite =
     name = "ckpt_rewrite";
     setup =
       (fun dir ->
-        mkdir_p dir;
+        Sysx.ensure_dir dir;
         Checkpoint.write_atomically (ck_path dir) fp old_records);
     action = (fun dir -> Checkpoint.write_atomically (ck_path dir) fp new_records);
     verify = verify_ckpt_rewrite;
@@ -139,7 +136,7 @@ let ckpt_append =
     name = "ckpt_append";
     setup =
       (fun dir ->
-        mkdir_p dir;
+        Sysx.ensure_dir dir;
         let cp = Checkpoint.open_ ~fingerprint:fp (ck_path dir) in
         Checkpoint.record cp ~key ~trial:0 (append_outcome 0);
         Checkpoint.close cp);
@@ -208,7 +205,7 @@ let lease_save =
     name = "lease";
     setup =
       (fun dir ->
-        mkdir_p dir;
+        Sysx.ensure_dir dir;
         Lease.save ~dir ~fingerprint:fp lease_old);
     action = (fun dir -> Lease.save ~dir ~fingerprint:fp lease_new);
     verify = verify_lease;
@@ -251,7 +248,7 @@ let verify_ilog dir =
 let ilog_append =
   {
     name = "ilog";
-    setup = mkdir_p;
+    setup = Sysx.ensure_dir;
     action =
       (fun dir ->
         let log = Incident_log.open_ (ilog_path dir) in
@@ -338,8 +335,8 @@ let carto_ledger =
     name = "carto";
     setup =
       (fun dir ->
-        mkdir_p dir;
-        mkdir_p (carto_wdir dir);
+        Sysx.ensure_dir dir;
+        Sysx.ensure_dir (carto_wdir dir);
         Carto.Ledger.append ~dir ~fingerprint:carto_fp ~part:carto_part
           carto_old;
         Lease.save ~dir:(carto_wdir dir) ~fingerprint:carto_fp carto_lease_old);
@@ -561,7 +558,7 @@ let check_report leg = function
 
 let run_daemon_leg () =
   let dir = Filename.concat !base_dir "daemon" in
-  mkdir_p dir;
+  Sysx.ensure_dir dir;
   let socket_path = Filename.concat dir "ncg.sock" in
   let lease_dir = Filename.concat dir "leases" in
   let incidents = Incident_log.open_ (Filename.concat dir "incidents.jsonl") in
@@ -640,7 +637,7 @@ let run_daemon_leg () =
 (* ------------------------------------------------------------------ *)
 
 let () =
-  mkdir_p !base_dir;
+  Sysx.ensure_dir !base_dir;
   let want name = !artifact = "all" || !artifact = name in
   List.iter
     (fun sc -> if want sc.name then run_scenario sc)
